@@ -173,7 +173,7 @@ def _profile_from_depth(
 
     A source succeeds at TTL ``t`` when its depth is within ``t``.
     Sources already holding a replica are excluded (they would not
-    search for it).  Shared by the single-segment and sharded paths:
+    search for it).  Shared by the flat and sharded paths:
     equal depth maps give equal profiles.
     """
     eligible = forwards.copy()
@@ -232,12 +232,13 @@ def _profile_task(
 ) -> np.ndarray:
     """Worker task: one multi-source BFS against the shared topology.
 
-    The flood is a pure function of the (pre-drawn) replica set — the
-    replica placement randomness stays on the coordinator's stream,
-    which is what makes serial and parallel runs bitwise-identical —
-    so the task runs with ``needs_rng=False``.
+    The one-shard attachment is read through its flat view, so the task
+    runs the flat kernel.  The flood is a pure function of the
+    (pre-drawn) replica set — the replica placement randomness stays on
+    the coordinator's stream, which is what makes serial and parallel
+    runs bitwise-identical — so the task runs with ``needs_rng=False``.
     """
-    return _success_profile(attach_topology(spec), replicas, max_ttl)
+    return _success_profile(attach_topology(spec).flat(), replicas, max_ttl)
 
 
 def run_flood_success(

@@ -100,7 +100,7 @@ def _probe_task(
     ttl: int,
 ) -> tuple[float, float]:
     """Worker task: one deterministic probe flood (``rng`` unused)."""
-    return _probe_fallback(attach_topology(spec), source, ttl)
+    return _probe_fallback(attach_topology(spec).flat(), source, ttl)
 
 
 def evaluate_hybrid(config: HybridEvalConfig | None = None) -> HybridEvalResult:

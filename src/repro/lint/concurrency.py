@@ -76,12 +76,6 @@ _ARRAY_MUTATORS = frozenset(
      "setflags", "byteswap"}
 )
 
-#: Owner-handle constructors that are fork-hostile beyond the generic
-#: ``shm_factories`` list (per-shard segment owners).
-_EXTRA_FORK_UNSAFE = frozenset(
-    {"repro.runtime.shards.ShardedTopology", "repro.runtime.shards.ShardedPostings"}
-)
-
 #: Buffer allocators whose results count as reusable scratch.
 _SCRATCH_ALLOCATORS = frozenset(
     {"numpy.zeros", "numpy.empty", "numpy.full", "numpy.zeros_like",
@@ -855,7 +849,7 @@ class ForkUnsafeCaptureRule:
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Diagnostic]:
         scan = _scan(ctx)
-        factories = frozenset(ctx.config.shm_factories) | _EXTRA_FORK_UNSAFE
+        factories = frozenset(ctx.config.shm_factories)
         attach = frozenset(ctx.config.attach_functions)
         for site in scan.sites:
             unsafe = self._unsafe_names(ctx, site, factories, attach)

@@ -56,7 +56,7 @@ DEFAULT_PARALLEL_MAPS = (
 # released on every path (with / try-finally / ownership transfer).
 DEFAULT_SHM_FACTORIES = (
     "repro.runtime.shm.SharedTopology",
-    "repro.runtime.shm.SharedPostings",
+    "repro.runtime.shm.ShardedPostings",
     "multiprocessing.shared_memory.SharedMemory",
     "shared_memory.SharedMemory",
 )
@@ -95,9 +95,6 @@ DEFAULT_OBS_MODULES = ("repro.obs", "repro.runtime.sanitize")
 DEFAULT_ATTACH_FUNCTIONS = (
     "repro.runtime.shm.attach_topology",
     "repro.runtime.shm.attach_postings",
-    "repro.runtime.shards.attach_shard_set",
-    "repro.runtime.shards.attach_sharded_postings",
-    "repro.runtime.shards.attach_postings_any",
 )
 
 # SIM015-SIM017: roots of the hot set.  A function is *hot* when it is

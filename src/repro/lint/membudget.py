@@ -115,12 +115,11 @@ SPECS: tuple[ArraySpec, ...] = (
         seed_itemsize=8,
         fallback="int64",
     ),
-    # Sharded flood publish: the per-shard CSR copies the
-    # process-parallel driver exports to shared memory
-    # (repro.runtime.shards).  Offsets are re-based per shard (one
+    # Topology publish: the per-shard CSR copies exported to shared
+    # memory (repro.runtime.shm).  Offsets are re-based per shard (one
     # entry per node plus one per shard); neighbors keep global node
     # ids, so both must stay at INDEX_DTYPE width for the sharded
-    # footprint to track the single-segment CSR.
+    # footprint to track the flat CSR.
     ArraySpec(
         group="sharding",
         structure="TopologyShard",
@@ -173,8 +172,8 @@ SPECS: tuple[ArraySpec, ...] = (
         seed_itemsize=8,
         fallback="int64",
     ),
-    # Sharded postings publish: per-shard posting CSR segments the
-    # batch engine exports to shared memory (repro.runtime.shards).
+    # Postings publish: per-shard posting CSR segments exported to
+    # shared memory (repro.runtime.shm).
     # Offsets are re-based per shard (one entry per term plus one per
     # shard); instances keep global ids, so both must stay at
     # INDEX_DTYPE width for the sharded footprint to track the dense

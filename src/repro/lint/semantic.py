@@ -1,7 +1,7 @@
 """The SIM010-SIM014 semantic rule family (cross-module dataflow).
 
 These rules guard exactly the machinery PRs 2-3 added — the ``pmap``
-worker streams, the ``SharedTopology``/``SharedPostings`` shm
+worker streams, the ``SharedTopology``/``ShardedPostings`` shm
 transports, and the content-addressed artifact cache — where a single
 undisciplined call site silently breaks serial≡parallel equivalence or
 poisons cached artifacts:
@@ -335,7 +335,7 @@ class DerivedSeedCollisionRule:
 class ShmLifecycleRule:
     """SIM012 — shared-memory allocations release on every path.
 
-    A ``SharedTopology``/``SharedPostings``/``SharedMemory`` segment is
+    A ``SharedTopology``/``ShardedPostings``/``SharedMemory`` segment is
     a kernel object: an exception between allocation and ``close()``
     leaks it until reboot.  The allocation must be a ``with`` item,
     be immediately guarded by ``try/finally`` cleanup, or escape to the

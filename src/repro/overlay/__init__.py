@@ -38,7 +38,6 @@ from repro.overlay.flooding import (
     flood,
     flood_depths,
     flood_depths_batch,
-    flood_depths_iter,
     reach_fractions,
 )
 from repro.overlay.sharding import (
@@ -145,7 +144,6 @@ __all__ = [
     "flood",
     "flood_depths",
     "flood_depths_batch",
-    "flood_depths_iter",
     "reach_fractions",
     "ShardSet",
     "TopologyShard",

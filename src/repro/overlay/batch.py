@@ -207,23 +207,24 @@ def _chunk_task(
 ) -> BatchOutcome:
     """Worker task: evaluate one contiguous slice of the batch.
 
-    Attaches the shared topology and posting arrays (single-segment or
-    term-sharded — the spec says which), pre-intersects the chunk's
-    distinct keys in one batch-kernel pass, then runs the same pure
-    core as the serial path with a worker-local flood cache.  Flood
+    Attaches the shared one-shard topology and the posting shards,
+    pre-intersects the chunk's distinct keys in one batch-kernel pass,
+    then runs the same pure core as the serial path with a worker-local
+    flood cache.  One-shard attachments are read through their flat
+    views, so the flat kernels run unchanged; the matches are
+    task-local, so no cache outlives the mapping they slice.  Flood
     evaluation is deterministic, so the task runs with
     ``needs_rng=False``.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
-    from repro.runtime.shards import attach_postings_any
-    from repro.runtime.shm import attach_topology
+    from repro.runtime.shm import attach_postings, attach_topology
 
     sources, keys = chunk
-    topology = attach_topology(topo_spec)  # type: ignore[arg-type]
-    postings = attach_postings_any(post_spec)  # type: ignore[arg-type]
+    shards = attach_postings(post_spec)  # type: ignore[arg-type]
+    postings: PostingsProvider = shards.flat() if shards.n_shards == 1 else shards
     cache = _WORKER_CACHES.get(topo_spec)
     if cache is None:
-        cache = FloodDepthCache(topology)
+        cache = FloodDepthCache(attach_topology(topo_spec).flat())  # type: ignore[arg-type]
         _WORKER_CACHES[topo_spec] = cache
         if len(_WORKER_CACHES) > _WORKER_CACHE_MAX:
             _WORKER_CACHES.popitem(last=False)
@@ -283,11 +284,11 @@ class BatchQueryEngine:
             )
         self.topology = topology
         self.content = content
-        # Spec of an already-published SharedTopology wrapping the same
-        # bytes as ``topology``.  A resident process (the serving loop)
-        # publishes once at startup and passes the spec here, so the
-        # fan-out path attaches instead of re-exporting the CSR arrays
-        # on every batch.  The caller keeps the owner alive for the
+        # Spec of an already-published one-shard SharedTopology wrapping
+        # the same bytes as ``topology``.  A resident process (the
+        # serving loop) publishes once at startup and passes the spec
+        # here, so the fan-out path attaches instead of re-exporting the
+        # CSR arrays on every batch.  The caller keeps the owner alive for the
         # engine's lifetime.
         self.topo_spec = topo_spec
         # Optional posting-list provider override (e.g. an attached
@@ -298,9 +299,9 @@ class BatchQueryEngine:
         # A depth provider (e.g. a ShardedFloodRunner) reroutes the
         # cache's BFS through the shard-parallel driver; outcomes stay
         # bitwise identical, so the serial evaluation path below needs
-        # no other change.  The chunk fan-out path keeps its worker-
-        # local single-segment caches — at the scales where sharding
-        # matters, the engine runs serial-with-sharded-BFS instead.
+        # no other change.  The chunk fan-out path keeps worker-local
+        # caches over a one-shard topology — at the scales where
+        # sharding matters, the engine runs serial-with-sharded-BFS.
         self.flood_cache = FloodDepthCache(
             topology,
             max_entries=flood_cache_entries,
@@ -396,8 +397,7 @@ class BatchQueryEngine:
                 min_results=min_results,
             )
         from repro.runtime.parallel import pmap
-        from repro.runtime.shards import ShardedPostings
-        from repro.runtime.shm import SharedPostings, SharedTopology
+        from repro.runtime.shm import ShardedPostings, SharedTopology
 
         bounds = np.linspace(0, sources.size, workers + 1).astype(np.int64)
         chunks = [
@@ -413,17 +413,13 @@ class BatchQueryEngine:
                 ).spec
             post_spec = getattr(self.postings, "spec", None)
             if post_spec is None:
-                if self.postings is not None:
-                    # Unpublished provider (e.g. a locally-built shard
-                    # set): publish it for the workers, preserving its
-                    # shard layout.
-                    post_spec = stack.enter_context(
-                        ShardedPostings(self.postings)
-                    ).spec
-                else:
-                    post_spec = stack.enter_context(
-                        SharedPostings(self.content)
-                    ).spec
+                # Publish for the workers; an unpublished provider (e.g.
+                # a locally-built shard set) keeps its shard layout.
+                post_spec = stack.enter_context(
+                    ShardedPostings(
+                        self.content if self.postings is None else self.postings
+                    )
+                ).spec
             task = partial(
                 _chunk_task,
                 topo_spec=topo_spec,

@@ -23,11 +23,11 @@ Three evaluation paths share one core:
   of N Python-level ``np.intersect1d`` loops.
 
 Posting storage is pluggable behind :class:`PostingsProvider`:
-:class:`DensePostings` is the single-segment CSR view every index
+:class:`DensePostings` is the flat CSR view every index
 carries; :func:`partition_postings` splits the term-id space into
 contiguous ranges (:class:`PostingShardSet`) with re-based
 ``INDEX_DTYPE`` offsets, mirroring ``overlay.sharding`` for
-topologies, so ``runtime.shards`` can publish each segment to shared
+topologies, so ``runtime.shm`` can publish each segment to shared
 memory on its own.  Results are bitwise-identical for every provider
 and shard count.
 """
@@ -125,9 +125,7 @@ class DensePostings:
     """Single-segment CSR postings: the provider every index carries.
 
     ``posting_instances[posting_offsets[t]:posting_offsets[t+1]]`` are
-    the sorted instance ids whose names contain term ``t``.  Field
-    order matches :class:`~repro.runtime.shm.SharedPostingsSpec` so the
-    shm attach path can construct it positionally.
+    the sorted instance ids whose names contain term ``t``.
     """
 
     posting_offsets: np.ndarray
@@ -182,7 +180,7 @@ class PostingShardSet:
 
     ``bounds[s] <= t < bounds[s+1]`` maps term ``t`` to ``shards[s]``.
     ``spec`` carries the shm publication handle when the set is backed
-    by shared segments (``runtime.shards.ShardedPostings``) so worker
+    by shared segments (``runtime.shm.ShardedPostings``) so worker
     fan-out can forward it without re-publishing.
     """
 
@@ -205,6 +203,15 @@ class PostingShardSet:
     def n_instances(self) -> int:
         """Total shared-file instances indexed."""
         return self.instance_peer.size
+
+    def flat(self) -> DensePostings:
+        """A one-shard set as a zero-copy :class:`DensePostings` view."""
+        if self.n_shards != 1:
+            raise ValueError(
+                f"a flat view needs exactly one shard, not {self.n_shards}"
+            )
+        shard = self.shards[0]
+        return DensePostings(shard.offsets, shard.instances, self.instance_peer)
 
     def shard_of(self, term_ids: np.ndarray) -> np.ndarray:
         """Owning shard index per term id."""
@@ -661,7 +668,7 @@ class SharedContentIndex:
         )
 
     def dense_postings(self) -> DensePostings:
-        """The index's own single-segment posting arrays as a provider."""
+        """The index's own flat posting arrays as a provider."""
         return DensePostings(
             posting_offsets=self._posting_offsets,
             posting_instances=self._posting_instances,

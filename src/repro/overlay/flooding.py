@@ -19,7 +19,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "flood",
     "flood_depths",
     "flood_depths_batch",
-    "flood_depths_iter",
     "reach_fractions",
 ]
 
@@ -407,12 +406,16 @@ def flood_depths_batch(
 
     The row-per-source depth matrix costs
     ``n_sources * n_nodes * 2`` bytes; workload-scale consumers must
-    either use :func:`flood_depths_iter` (bounded chunks of rows) or
-    :class:`FloodDepthCache` directly (the batched query engine does)
-    and read per-query quantities off the shared entries.
+    use :class:`FloodDepthCache` directly (the batched query engine
+    does) and read per-query quantities off the shared entries.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    cache = _batch_cache(topology, sources, cache, provider)
+    if cache is None:
+        cache = FloodDepthCache(
+            topology,
+            max_entries=max(1, np.unique(sources).size),
+            provider=provider,
+        )
     depth = np.empty((sources.size, topology.n_nodes), dtype=DEPTH_DTYPE)
     messages = np.empty(sources.size, dtype=np.int64)
     for i, s in enumerate(sources):
@@ -420,62 +423,6 @@ def flood_depths_batch(
         depth[i] = entry.depth_at(max_depth)
         messages[i] = entry.messages(max_depth)
     return depth, messages
-
-
-def _batch_cache(
-    topology: Topology | None,
-    sources: np.ndarray,
-    cache: FloodDepthCache | None,
-    provider: DepthProvider | None,
-) -> FloodDepthCache:
-    """The depth cache a batch call evaluates against."""
-    if cache is not None:
-        return cache
-    return FloodDepthCache(
-        topology,
-        max_entries=max(1, np.unique(sources).size),
-        provider=provider,
-    )
-
-
-def flood_depths_iter(
-    sources: np.ndarray,
-    max_depth: int,
-    *,
-    topology: Topology | None = None,
-    cache: FloodDepthCache | None = None,
-    provider: DepthProvider | None = None,
-    chunk_size: int = 64,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Streaming :func:`flood_depths_batch`: bounded resident rows.
-
-    Yields ``(chunk_sources, depth, messages)`` triples where rows of
-    ``depth`` are the depth maps of ``chunk_sources`` (at most
-    ``chunk_size`` of them, in input order) — row-for-row bitwise
-    identical to the matrix :func:`flood_depths_batch` would build,
-    without ever materializing more than ``chunk_size * n_nodes``
-    depth entries.  Workload-scale consumers iterate and reduce;
-    repeated sources still BFS once via the shared ``cache`` (pass
-    one to also reuse results across calls).
-
-    Exactly one of ``topology``/``cache``/``provider`` must anchor the
-    BFS; ``chunk_size`` bounds peak memory, not the schedule — chunks
-    are contiguous slices of ``sources``.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if topology is None and cache is None and provider is None:
-        raise ValueError("need a topology, cache, or depth provider")
-    cache = _batch_cache(topology, sources, cache, provider)
-    for start in range(0, sources.size, chunk_size):
-        chunk = sources[start : start + chunk_size]
-        entries = [cache.entry(int(s), max_depth) for s in chunk]
-        depth = np.stack([e.depth_at(max_depth) for e in entries])
-        messages = np.asarray(
-            [e.messages(max_depth) for e in entries], dtype=np.int64
-        )
-        yield chunk, depth, messages
 
 
 def flood(
@@ -509,14 +456,15 @@ def _reach_row(topology: Topology, source: int, ttls: np.ndarray, max_ttl: int) 
 def _reach_row_task(source: int, *, spec, ttls, max_ttl):
     """Worker task: attach the shared topology, compute one row.
 
-    A lossless flood is a pure function of its source, so the task is
+    The one-shard attachment is read through its flat view, so the
+    row runs the flat kernel.  A lossless flood is a pure function of its source, so the task is
     registered with ``needs_rng=False`` — no per-row seed derivation,
     and no unused ``rng`` parameter inviting misuse.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
     from repro.runtime.shm import attach_topology
 
-    return _reach_row(attach_topology(spec), int(source), ttls, max_ttl)
+    return _reach_row(attach_topology(spec).flat(), int(source), ttls, max_ttl)
 
 
 def reach_fractions(

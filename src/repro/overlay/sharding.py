@@ -10,15 +10,15 @@ nodes it owns and hands back the deduplicated target set, and the
 coordinator merges those exchanges into the global visited/depth maps
 before the next level starts.
 
-The decomposition is exact, not approximate.  The single-segment
-kernel (:func:`~repro.overlay.flooding.flood_depths`) computes a
-level's new frontier as "gather all senders' neighbors, drop visited,
-dedup via a scratch mask, flatnonzero" — and flatnonzero yields the
-frontier *sorted*.  Here each shard dedups its own gathered targets
+The decomposition is exact, not approximate.  The flat kernel
+(:func:`~repro.overlay.flooding.flood_depths`) computes a level's new
+frontier as "gather all senders' neighbors, drop visited, dedup via a
+scratch mask, flatnonzero" — and flatnonzero yields the frontier
+*sorted*.  Here each shard dedups its own gathered targets
 (:func:`expand_shard` returns them sorted-unique), the coordinator
 unions them through the same scratch mask, and flatnonzero again
 yields the identical sorted frontier.  Message accounting sums each
-shard's gathered-target count, which partitions the single-segment
+shard's gathered-target count, which partitions the flat kernel's
 count exactly.  Depth maps and message counts are therefore bitwise
 identical at every shard count, including ``n_shards=1``.
 
@@ -26,10 +26,11 @@ Only lossless floods run sharded (the deterministic fast path every
 cache and batch consumer uses); ``p_loss`` floods stay on
 :func:`~repro.overlay.flooding.flood_depths`.
 
-The process-parallel driver (a persistent pool expanding shards
-concurrently, shards published to shared memory) lives in
-:mod:`repro.runtime.shards`; this module is pure numpy so the overlay
-layer never imports the runtime.
+The shared-memory layout of a shard set lives in
+:mod:`repro.runtime.shm` and the process-parallel driver (a persistent
+pool expanding shards concurrently) in :mod:`repro.runtime.shards`;
+this module is pure numpy so the overlay layer never imports the
+runtime.
 """
 
 from __future__ import annotations
@@ -128,6 +129,19 @@ class ShardSet:
     def shard_of(self, nodes: np.ndarray) -> np.ndarray:
         """Owning shard index of each node id."""
         return np.searchsorted(self.bounds, nodes, side="right") - 1
+
+    def flat(self) -> Topology:
+        """A one-shard set as a zero-copy flat :class:`Topology` view.
+
+        The shard's offsets start at 0 and its neighbors are global ids,
+        so the flat kernels run on its arrays unchanged.
+        """
+        if self.n_shards != 1:
+            raise ValueError(
+                f"a flat view needs exactly one shard, not {self.n_shards}"
+            )
+        shard = self.shards[0]
+        return Topology(shard.offsets, shard.neighbors, self.forwards)
 
 
 def partition_topology(topology: Topology, n_shards: int) -> ShardSet:

@@ -5,9 +5,10 @@ Three cooperating pieces, each usable on its own:
 * :mod:`repro.runtime.parallel` — ``pmap``, a process-pool fan-out
   whose per-task RNGs come from :func:`repro.utils.rng.derive`, so the
   result is bitwise-identical for any worker count.
-* :mod:`repro.runtime.shm` — publishes :class:`~repro.overlay.topology.
-  Topology` CSR arrays to POSIX shared memory so workers attach the
-  ~1M-element arrays instead of unpickling them per task.
+* :mod:`repro.runtime.shm` — publishes topology CSR shards and
+  posting-list shards to POSIX shared memory so workers attach the
+  ~1M-element arrays instead of unpickling them per task;
+  :mod:`repro.runtime.shards` runs the shard-parallel BFS over them.
 * :mod:`repro.runtime.cache` — a content-addressed on-disk artifact
   cache keyed by a stable digest of the frozen config dataclasses, so
   repeated runs skip topology/trace regeneration.
@@ -39,15 +40,9 @@ from repro.runtime.sanitize import (
     scratch_release,
     shm_sanitize_enabled,
 )
-from repro.runtime.shards import (
+from repro.runtime.shm import (
     ShardedPostings,
     ShardedPostingsSpec,
-    attach_postings_any,
-    attach_sharded_postings,
-)
-from repro.runtime.shm import (
-    SharedPostings,
-    SharedPostingsSpec,
     SharedTopology,
     SharedTopologySpec,
     attach_postings,
@@ -58,13 +53,9 @@ __all__ = [
     "CacheInfo",
     "ShardedPostings",
     "ShardedPostingsSpec",
-    "SharedPostings",
-    "SharedPostingsSpec",
     "SharedTopology",
     "SharedTopologySpec",
     "attach_postings",
-    "attach_postings_any",
-    "attach_sharded_postings",
     "attach_topology",
     "cache_dir",
     "cache_enabled",

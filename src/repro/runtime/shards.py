@@ -1,22 +1,14 @@
-"""Sharded shared-memory transport + process-parallel flood driver.
-
-:class:`ShardedTopology` publishes a
-:class:`~repro.overlay.sharding.ShardSet` with one shared-memory
-segment *per shard array* (local offsets + neighbors per node range,
-one global forwards mask), instead of the single-segment
-:class:`~repro.runtime.shm.SharedTopology` layout.  Per-shard segments
-keep every mapping under the int32 entry ceiling, let a worker map
-only the shards it expands, and are the unit the boundary-edge index
-(``boundary_counts``) describes.
+"""Process-parallel flood driver over the sharded shm topology.
 
 :class:`ShardedFloodRunner` drives the shard-parallel BFS of
 :mod:`repro.overlay.sharding` over a *persistent* worker pool: every
 BFS level, each shard's frontier slice is submitted as one task
-(local CSR gather + dedup in the worker), and the level barrier —
-the frontier exchange — merges the returned sorted-unique target
-sets on the coordinator.  Results are merged in shard order, so the
-output is bitwise identical to the serial sharded driver, which is
-itself bitwise identical to the single-segment kernel (see
+(local CSR gather + dedup in the worker, against the segments
+:class:`~repro.runtime.shm.SharedTopology` published), and the level
+barrier — the frontier exchange — merges the returned sorted-unique
+target sets on the coordinator.  Results are merged in shard order, so
+the output is bitwise identical to the serial sharded driver, which is
+itself bitwise identical to the flat kernel (see
 :mod:`repro.overlay.sharding`).  The pool persists across floods
 because a Fig. 8 run issues hundreds of them — one pool per flood
 would pay process start-up per BFS.
@@ -25,39 +17,20 @@ The runner also implements the ``bfs_entry`` provider hook of
 :class:`~repro.overlay.flooding.FloodDepthCache`, so the depth cache
 and :class:`~repro.overlay.batch.BatchQueryEngine` can run their BFS
 sharded without knowing about this module.
-
-:class:`ShardedPostings` is the content-path twin of
-:class:`ShardedTopology`: it publishes a
-:class:`~repro.overlay.content.PostingShardSet` (contiguous term-range
-posting segments with re-based offsets) one segment per shard array,
-and :func:`attach_sharded_postings` hands workers a view-backed
-provider implementing the overlay's ``PostingsProvider`` protocol.
-:func:`attach_postings_any` dispatches on the spec type, so the batch
-engine's worker task accepts either posting transport.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.obs import metrics, span
-from repro.overlay.content import (
-    DensePostings,
-    PostingShard,
-    PostingShardSet,
-    PostingsProvider,
-    SharedContentIndex,
-    partition_postings,
-)
 from repro.overlay.flooding import DepthEntry
 from repro.overlay.sharding import (
     ExpandResult,
     ShardSet,
-    TopologyShard,
     expand_shard,
     flood_depths_sharded,
     partition_topology,
@@ -65,294 +38,16 @@ from repro.overlay.sharding import (
 )
 from repro.overlay.topology import Topology
 from repro.runtime.parallel import _mp_context, resolve_workers
-from repro.runtime.sanitize import freeze
-from repro.runtime.shm import (
-    SharedArraySpec,
-    SharedPostingsSpec,
-    _CACHE,
-    _SharedArrayOwner,
-    _attach_arrays,
-    _export,
-    attach_postings,
-)
+from repro.runtime.shm import SharedTopology, SharedTopologySpec, attach_topology
 
-__all__ = [
-    "PostingShardSpec",
-    "ShardSpec",
-    "ShardedFloodRunner",
-    "ShardedPostings",
-    "ShardedPostingsSpec",
-    "ShardedTopology",
-    "ShardedTopologySpec",
-    "attach_postings_any",
-    "attach_shard_set",
-    "attach_sharded_postings",
-]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Addresses of one shard's CSR arrays plus its node range."""
-
-    lo: int
-    hi: int
-    offsets: SharedArraySpec
-    neighbors: SharedArraySpec
-
-
-@dataclass(frozen=True)
-class ShardedTopologySpec:
-    """Picklable address of a published :class:`ShardSet`.
-
-    ``bounds`` and ``boundary_counts`` are value-carried (they are
-    O(shards) and O(shards^2) metadata, not per-node arrays), so
-    attaching never touches a segment for them.
-    """
-
-    bounds: tuple[int, ...]
-    forwards: SharedArraySpec
-    shards: tuple[ShardSpec, ...]
-    boundary_counts: tuple[tuple[int, ...], ...]
-
-
-class ShardedTopology(_SharedArrayOwner):
-    """Owner handle for a shard set published to shared memory.
-
-    Accepts either a pre-partitioned :class:`ShardSet` or a
-    :class:`Topology` plus ``n_shards``.  As with
-    :class:`~repro.runtime.shm.SharedTopology`, the owner pre-seeds
-    the attachment cache with views over the published segments, so
-    the owning process (and fork-started workers) read the exact bytes
-    the spec addresses.
-    """
-
-    spec: ShardedTopologySpec
-
-    def __init__(
-        self, source: Topology | ShardSet, *, n_shards: int | None = None
-    ) -> None:
-        if isinstance(source, ShardSet):
-            if n_shards is not None and n_shards != source.n_shards:
-                raise ValueError(
-                    f"source is already partitioned into {source.n_shards} "
-                    f"shards; n_shards={n_shards} conflicts"
-                )
-            shard_set = source
-        else:
-            shard_set = partition_topology(source, n_shards or 1)
-        with span("shard.publish", shards=shard_set.n_shards):
-            segments = []
-            fwd_spec, fwd_seg, fwd_view = _export(
-                np.ascontiguousarray(shard_set.forwards)
-            )
-            segments.append(fwd_seg)
-            shard_specs: list[ShardSpec] = []
-            shard_views: list[TopologyShard] = []
-            for shard in shard_set.shards:
-                off_spec, off_seg, off_view = _export(
-                    np.ascontiguousarray(shard.offsets)
-                )
-                nbr_spec, nbr_seg, nbr_view = _export(
-                    np.ascontiguousarray(shard.neighbors)
-                )
-                segments.extend((off_seg, nbr_seg))
-                shard_specs.append(
-                    ShardSpec(shard.lo, shard.hi, off_spec, nbr_spec)
-                )
-                shard_views.append(
-                    TopologyShard(shard.lo, shard.hi, off_view, nbr_view)
-                )
-        spec = ShardedTopologySpec(
-            bounds=tuple(int(b) for b in shard_set.bounds),
-            forwards=fwd_spec,
-            shards=tuple(shard_specs),
-            boundary_counts=tuple(
-                tuple(int(c) for c in row) for row in shard_set.boundary_counts
-            ),
-        )
-        self._adopt(
-            spec,
-            segments,
-            ShardSet(
-                bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
-                forwards=fwd_view,
-                shards=tuple(shard_views),
-                boundary_counts=freeze(
-                    np.asarray(spec.boundary_counts, dtype=np.int64)
-                ),
-            ),
-        )
-
-    def __enter__(self) -> "ShardedTopology":
-        return self
-
-    @property
-    def shard_set(self) -> ShardSet:
-        """The view-backed shard set over the published segments."""
-        return attach_shard_set(self.spec)
-
-
-def attach_shard_set(spec: ShardedTopologySpec) -> ShardSet:
-    """Map a published shard set into this process (cached, read-only)."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        assert isinstance(cached, ShardSet)
-        return cached
-    flat_specs = [spec.forwards]
-    for shard in spec.shards:
-        flat_specs.extend((shard.offsets, shard.neighbors))
-    arrays, segments = _attach_arrays(tuple(flat_specs))
-    shards = tuple(
-        TopologyShard(s.lo, s.hi, arrays[1 + 2 * i], arrays[2 + 2 * i])
-        for i, s in enumerate(spec.shards)
-    )
-    shard_set = ShardSet(
-        bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
-        forwards=arrays[0],
-        shards=shards,
-        boundary_counts=freeze(np.asarray(spec.boundary_counts, dtype=np.int64)),
-    )
-    _CACHE.put(spec, shard_set, segments)
-    return shard_set
-
-
-@dataclass(frozen=True)
-class PostingShardSpec:
-    """Addresses of one posting shard's arrays plus its term range."""
-
-    lo: int
-    hi: int
-    offsets: SharedArraySpec
-    instances: SharedArraySpec
-
-
-@dataclass(frozen=True)
-class ShardedPostingsSpec:
-    """Picklable address of a published posting shard set.
-
-    ``bounds`` is value-carried (O(shards) metadata); the per-shard
-    offset/instance arrays and the instance-to-peer map live in their
-    own segments.
-    """
-
-    bounds: tuple[int, ...]
-    instance_peer: SharedArraySpec
-    shards: tuple[PostingShardSpec, ...]
-
-
-class ShardedPostings(_SharedArrayOwner):
-    """Owner handle for posting shards published to shared memory.
-
-    Accepts a content index (or dense provider) plus ``n_shards``, or a
-    pre-partitioned :class:`~repro.overlay.content.PostingShardSet`.
-    The pre-seeded attachment is a view-backed shard set carrying
-    ``spec``, so consumers holding the provider can recover the worker
-    address without re-publishing.
-    """
-
-    spec: ShardedPostingsSpec
-
-    def __init__(
-        self,
-        source: SharedContentIndex | DensePostings | PostingShardSet,
-        *,
-        n_shards: int | None = None,
-    ) -> None:
-        if isinstance(source, PostingShardSet):
-            if n_shards is not None and n_shards != source.n_shards:
-                raise ValueError(
-                    f"source is already partitioned into {source.n_shards} "
-                    f"shards; n_shards={n_shards} conflicts"
-                )
-            shard_set = source
-        else:
-            shard_set = partition_postings(source, n_shards or 1)
-        with span("postings.publish", shards=shard_set.n_shards):
-            segments = []
-            pee_spec, pee_seg, pee_view = _export(
-                np.ascontiguousarray(shard_set.instance_peer)
-            )
-            segments.append(pee_seg)
-            shard_specs: list[PostingShardSpec] = []
-            shard_views: list[PostingShard] = []
-            for shard in shard_set.shards:
-                off_spec, off_seg, off_view = _export(
-                    np.ascontiguousarray(shard.offsets)
-                )
-                ins_spec, ins_seg, ins_view = _export(
-                    np.ascontiguousarray(shard.instances)
-                )
-                segments.extend((off_seg, ins_seg))
-                shard_specs.append(
-                    PostingShardSpec(shard.lo, shard.hi, off_spec, ins_spec)
-                )
-                shard_views.append(
-                    PostingShard(shard.lo, shard.hi, off_view, ins_view)
-                )
-        spec = ShardedPostingsSpec(
-            bounds=tuple(int(b) for b in shard_set.bounds),
-            instance_peer=pee_spec,
-            shards=tuple(shard_specs),
-        )
-        self._adopt(
-            spec,
-            segments,
-            PostingShardSet(
-                bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
-                shards=tuple(shard_views),
-                instance_peer=pee_view,
-                spec=spec,
-            ),
-        )
-
-    def __enter__(self) -> "ShardedPostings":
-        return self
-
-    @property
-    def provider(self) -> PostingShardSet:
-        """The view-backed shard set over the published segments."""
-        return attach_sharded_postings(self.spec)
-
-
-def attach_sharded_postings(spec: ShardedPostingsSpec) -> PostingShardSet:
-    """Map published posting shards into this process (cached, read-only)."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        assert isinstance(cached, PostingShardSet)
-        return cached
-    flat_specs = [spec.instance_peer]
-    for shard in spec.shards:
-        flat_specs.extend((shard.offsets, shard.instances))
-    arrays, segments = _attach_arrays(tuple(flat_specs))
-    shards = tuple(
-        PostingShard(s.lo, s.hi, arrays[1 + 2 * i], arrays[2 + 2 * i])
-        for i, s in enumerate(spec.shards)
-    )
-    shard_set = PostingShardSet(
-        bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
-        shards=shards,
-        instance_peer=arrays[0],
-        spec=spec,
-    )
-    _CACHE.put(spec, shard_set, segments)
-    return shard_set
-
-
-def attach_postings_any(
-    spec: SharedPostingsSpec | ShardedPostingsSpec,
-) -> PostingsProvider:
-    """Attach whichever posting transport ``spec`` addresses."""
-    if isinstance(spec, ShardedPostingsSpec):
-        return attach_sharded_postings(spec)
-    return attach_postings(spec)
+__all__ = ["ShardedFloodRunner"]
 
 
 def _expand_task(
-    spec: ShardedTopologySpec, shard_index: int, senders: np.ndarray
+    spec: SharedTopologySpec, shard_index: int, senders: np.ndarray
 ) -> ExpandResult:
     """Worker task: one shard's level expansion against shared memory."""
-    shard_set = attach_shard_set(spec)
-    return expand_shard(shard_set.shards[shard_index], senders)
+    return expand_shard(attach_topology(spec).shards[shard_index], senders)
 
 
 class ShardedFloodRunner:
@@ -381,11 +76,11 @@ class ShardedFloodRunner:
         else:
             shard_set = partition_topology(source, n_shards or 1)
         self.n_workers = min(resolve_workers(n_workers), shard_set.n_shards)
-        self._share: ShardedTopology | None = None
+        self._share: SharedTopology | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
         if self.n_workers > 1:
-            self._share = ShardedTopology(shard_set)
+            self._share = SharedTopology(shard_set)
             shard_set = self._share.shard_set
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_workers, mp_context=_mp_context()
@@ -434,9 +129,9 @@ class ShardedFloodRunner:
         """Provider hook for :class:`~repro.overlay.flooding.FloodDepthCache`."""
         self._check_open()
         expand = self._expand if self._pool is not None else None
-        with span(
-            "shard.bfs_entry", shards=self.n_shards, workers=self.n_workers
-        ):
+        # A timer, not a span: this runs on every depth-cache miss of a
+        # long-lived service, and the span store keeps every record.
+        with metrics().timer("shard.bfs_entry"):
             return sharded_bfs_entry(
                 self.shard_set, source, max_depth, expand=expand
             )

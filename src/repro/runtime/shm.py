@@ -1,18 +1,23 @@
-"""Shared-memory transport for :class:`~repro.overlay.topology.Topology`.
+"""Shared-memory transport for topologies and posting lists.
 
-The Fig. 8 topology's CSR arrays hold ~1M int32 entries (int64 before
-the scale-readiness dtype shrink); pickling them into every worker
-task would dominate the fan-out cost.  Instead the owner publishes the
-three arrays (``offsets``, ``neighbors``, ``forwards``) into POSIX
-shared-memory segments once, and workers attach zero-copy read-only
-views by segment name.  Each :class:`SharedArraySpec` carries its
-array's dtype string, so the transport is dtype-agnostic: narrowing a
-kernel array never touches this layer.
+Pickling the Fig. 8 topology's ~1M CSR entries (or a content index's
+posting lists) into every worker task would dominate the fan-out cost.
+Instead an *owner* publishes each artifact into POSIX shared-memory
+segments once, and workers attach zero-copy read-only views by segment
+name.  There is one layout for each artifact: the node-range shard set
+of :mod:`repro.overlay.sharding` (:class:`SharedTopology`) and the
+term-range posting shards of :mod:`repro.overlay.content`
+(:class:`ShardedPostings`), one segment per shard array.  Both default
+to a single shard; workers that run the flat kernels read a one-shard
+attachment through its zero-copy ``flat()`` view.  Each
+:class:`SharedArraySpec` carries its array's dtype string, so the
+transport is dtype-agnostic: narrowing a kernel array never touches
+this layer.
 
-Lifecycle: the *owner* process creates a :class:`SharedTopology`
-(ideally as a context manager) and ships the tiny picklable
-:class:`SharedTopologySpec` to workers, which call
-:func:`attach_topology`.  Attachments are cached per process, so a
+Lifecycle: the owner creates a :class:`SharedTopology` or
+:class:`ShardedPostings` (ideally as a context manager) and ships the
+tiny picklable spec to workers, which call :func:`attach_topology` or
+:func:`attach_postings`.  Attachments are cached per process, so a
 pool worker maps each segment once no matter how many tasks it runs.
 The owner's ``close()`` unlinks the segments; workers must not outlive
 it.  Under the ``fork`` start method workers inherit the owner's
@@ -37,20 +42,28 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable
+from typing import Callable, Sequence, TypeVar, cast
 
 import numpy as np
 
-from repro.obs import metrics
-from repro.overlay.content import DensePostings, SharedContentIndex
+from repro.obs import metrics, span
+from repro.overlay.content import (
+    DensePostings,
+    PostingShard,
+    PostingShardSet,
+    SharedContentIndex,
+    partition_postings,
+)
+from repro.overlay.sharding import ShardSet, TopologyShard, partition_topology
 from repro.overlay.topology import Topology
 from repro.runtime.sanitize import freeze
 
 __all__ = [
-    "PostingArrays",
+    "PostingShardSpec",
+    "ShardSpec",
+    "ShardedPostings",
+    "ShardedPostingsSpec",
     "SharedArraySpec",
-    "SharedPostings",
-    "SharedPostingsSpec",
     "SharedTopology",
     "SharedTopologySpec",
     "attach_postings",
@@ -72,32 +85,109 @@ class SharedArraySpec:
 
 
 @dataclass(frozen=True)
-class SharedTopologySpec:
-    """Addresses of a topology's three CSR arrays."""
+class ShardSpec:
+    """Addresses of one shard's CSR arrays plus its node range."""
 
+    lo: int
+    hi: int
     offsets: SharedArraySpec
     neighbors: SharedArraySpec
-    forwards: SharedArraySpec
 
 
 @dataclass(frozen=True)
-class SharedPostingsSpec:
-    """Addresses of a content index's query-matching arrays."""
+class SharedTopologySpec:
+    """Picklable address of a published :class:`ShardSet`.
 
-    posting_offsets: SharedArraySpec
-    posting_instances: SharedArraySpec
+    ``bounds`` and ``boundary_counts`` are value-carried (they are
+    O(shards) and O(shards^2) metadata, not per-node arrays), so
+    attaching never touches a segment for them.
+    """
+
+    bounds: tuple[int, ...]
+    forwards: SharedArraySpec
+    shards: tuple[ShardSpec, ...]
+    boundary_counts: tuple[tuple[int, ...], ...]
+
+    def arrays(self) -> tuple[SharedArraySpec, ...]:
+        """Every segment address, in publication order."""
+        return (
+            self.forwards,
+            *(a for s in self.shards for a in (s.offsets, s.neighbors)),
+        )
+
+
+@dataclass(frozen=True)
+class PostingShardSpec:
+    """Addresses of one posting shard's arrays plus its term range."""
+
+    lo: int
+    hi: int
+    offsets: SharedArraySpec
+    instances: SharedArraySpec
+
+
+@dataclass(frozen=True)
+class ShardedPostingsSpec:
+    """Picklable address of a published posting shard set.
+
+    ``bounds`` is value-carried (O(shards) metadata); the per-shard
+    offset/instance arrays and the instance-to-peer map live in their
+    own segments.
+    """
+
+    bounds: tuple[int, ...]
     instance_peer: SharedArraySpec
+    shards: tuple[PostingShardSpec, ...]
+
+    def arrays(self) -> tuple[SharedArraySpec, ...]:
+        """Every segment address, in publication order."""
+        return (
+            self.instance_peer,
+            *(a for s in self.shards for a in (s.offsets, s.instances)),
+        )
 
 
-#: Worker-side view of a content index's posting structure: exactly
-#: the arrays query evaluation needs (the posting CSR plus the
-#: instance-to-peer map).  Term *strings* stay on the coordinator —
-#: batch workers receive canonical term-id keys, so the interner never
-#: crosses the process boundary.  Since the overlay layer grew the
-#: :class:`~repro.overlay.content.PostingsProvider` protocol this is
-#: the same class as its dense provider; the alias keeps the
-#: transport-era name working.
-PostingArrays = DensePostings
+def _shard_set_view(
+    spec: SharedTopologySpec, arrays: Sequence[np.ndarray]
+) -> ShardSet:
+    """The :class:`ShardSet` over arrays laid out as ``spec.arrays()``."""
+    return ShardSet(
+        bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
+        forwards=arrays[0],
+        shards=tuple(
+            TopologyShard(s.lo, s.hi, arrays[1 + 2 * i], arrays[2 + 2 * i])
+            for i, s in enumerate(spec.shards)
+        ),
+        boundary_counts=freeze(np.asarray(spec.boundary_counts, dtype=np.int64)),
+    )
+
+
+def _posting_set_view(
+    spec: ShardedPostingsSpec, arrays: Sequence[np.ndarray]
+) -> PostingShardSet:
+    """The :class:`PostingShardSet` over arrays laid out as ``spec.arrays()``."""
+    return PostingShardSet(
+        bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
+        shards=tuple(
+            PostingShard(s.lo, s.hi, arrays[1 + 2 * i], arrays[2 + 2 * i])
+            for i, s in enumerate(spec.shards)
+        ),
+        instance_peer=arrays[0],
+        spec=spec,
+    )
+
+
+@dataclass
+class _Entry:
+    """One cached attachment: the view object plus what keeps it mapped."""
+
+    value: object
+    #: ``None`` for the owner's own pre-seeded view (pinned).
+    segments: list[shared_memory.SharedMemory] | None
+    #: Weakrefs to every array built over ``segments``.
+    pins: list["weakref.ref[np.ndarray]"]
+    #: Builds a fresh view object (and its arrays) over ``segments``.
+    rebuild: Callable[[], tuple[object, list[np.ndarray]]] | None
 
 
 class _AttachCache:
@@ -115,18 +205,17 @@ class _AttachCache:
       topologies over its lifetime from accumulating dead mappings.
 
     Eviction (and explicit :func:`detach`) only ever closes a mapping
-    whose view object is no longer referenced anywhere — checked via a
-    weakref after dropping the cache's own reference — so a consumer
-    holding a view (a resident ``FloodDepthCache``, a serving engine)
-    can never have its memory unmapped out from under it.  A still-
-    referenced candidate is treated as recently used instead.
+    that nothing outside the cache references: neither the view object
+    nor any array built over the segments (see :meth:`_release`).  So a
+    consumer holding a view, an array taken out of one, or a flat view
+    assembled from them (a resident ``FloodDepthCache``, a serving
+    engine) can never have its memory unmapped out from under it.  A
+    still-referenced candidate is treated as recently used instead.
     """
 
     def __init__(self, capacity: int = 16) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[
-            object, tuple[object, list[shared_memory.SharedMemory] | None]
-        ] = OrderedDict()
+        self._entries: OrderedDict[object, _Entry] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -136,61 +225,71 @@ class _AttachCache:
         if entry is None:
             return None
         self._entries.move_to_end(spec)
-        return entry[0]
+        return entry.value
 
     def put(
         self,
         spec: object,
         value: object,
         segments: list[shared_memory.SharedMemory] | None = None,
+        arrays: Sequence[np.ndarray] = (),
+        rebuild: Callable[[], tuple[object, list[np.ndarray]]] | None = None,
     ) -> None:
-        self._entries[spec] = (value, segments)
+        pins = [weakref.ref(a) for a in arrays]
+        self._entries[spec] = _Entry(value, segments, pins, rebuild)
         self._entries.move_to_end(spec)
         if segments is not None:
             self._evict_over_capacity()
 
-    @staticmethod
-    def _try_close(
-        ref: "weakref.ref[object]", segments: list[shared_memory.SharedMemory]
-    ) -> object | None:
-        """Close ``segments`` iff the probed view object is dead.
+    def _release(self, spec: object) -> bool:
+        """Pop an attached entry and unmap it unless still referenced.
 
-        The caller must have dropped every strong reference it holds
-        (including the popped cache tuple) before calling: a dead
-        weakref then proves the numpy views over the segment buffers
-        are gone too, so ``close()`` cannot raise ``BufferError`` on
-        exported buffers.  Returns the still-live view object when
-        consumers hold references, ``None`` after closing.
+        Numpy arrays over ``SharedMemory.buf`` do not block ``close()``,
+        so this probe is the only thing between a live array and a read
+        of unmapped memory.  It watches the view object *and* every
+        array built over the segments: an array taken out of a view
+        outlives the view object itself.  The cache's own reference to
+        the view is dropped before probing, or the probe would always
+        read "referenced".
+
+        Returns ``True`` after closing.  Otherwise the entry goes back
+        as most recently used — with a fresh view object over the same
+        segments when only bare arrays were keeping the mapping alive —
+        and ``False`` is returned.
         """
-        value = ref()
-        if value is not None:
-            return value
-        for segment in segments:
-            segment.close()
-        return None
+        entry = self._entries.pop(spec)
+        assert entry.segments is not None
+        held = weakref.ref(entry.value)
+        entry.value = None
+        if held() is None and all(pin() is None for pin in entry.pins):
+            for segment in entry.segments:
+                segment.close()
+            return True
+        value = held()
+        if value is None:
+            assert entry.rebuild is not None  # only arrays pin, and they rebuild
+            value, arrays = entry.rebuild()
+            entry.pins = [pin for pin in entry.pins if pin() is not None]
+            entry.pins.extend(weakref.ref(a) for a in arrays)
+        entry.value = value
+        self._entries[spec] = entry
+        return False
 
     def drop(self, spec: object) -> bool:
         """Detach ``spec``: forget the entry, unmap attached segments.
 
         Returns ``False`` when the spec was not cached.  Raises
-        ``RuntimeError`` (entry restored) when the mapping's view is
-        still referenced — detaching memory in use would invalidate
-        live arrays.
+        ``RuntimeError`` (entry restored) when the mapping is still
+        referenced — detaching memory in use would invalidate live
+        arrays.
         """
-        entry = self._entries.pop(spec, None)
+        entry = self._entries.get(spec)
         if entry is None:
             return False
-        if entry[1] is None:
+        if entry.segments is None:
+            del self._entries[spec]
             return True  # owner-preseeded: the owner closes its segments
-        segments = entry[1]
-        ref: "weakref.ref[object]" = weakref.ref(entry[0])
-        # The popped tuple is the cache's last strong reference to the
-        # view; it must die before the liveness probe or the probe
-        # always reads "referenced".
-        del entry
-        value = self._try_close(ref, segments)
-        if value is not None:
-            self._entries[spec] = (value, segments)
+        if not self._release(spec):
             raise RuntimeError(
                 f"cannot detach {type(spec).__name__}: attached views are "
                 "still referenced (drop them first)"
@@ -201,24 +300,17 @@ class _AttachCache:
     def _evict_over_capacity(self) -> None:
         """Close least-recently-used unreferenced mappings over budget."""
         attached = [
-            spec for spec, (_, segs) in self._entries.items() if segs is not None
+            spec for spec, entry in self._entries.items()
+            if entry.segments is not None
         ]
         excess = len(attached) - self.capacity
         for spec in attached:
             if excess <= 0:
                 break
-            entry = self._entries.pop(spec)
-            segments = entry[1] or []
-            ref: "weakref.ref[object]" = weakref.ref(entry[0])
-            del entry  # drop the cache's own reference before probing
-            value = self._try_close(ref, segments)
-            if value is None:
+            if self._release(spec):
                 metrics().inc("shm.attach.evicted")
                 excess -= 1
             else:
-                # Still referenced: not evictable, treat as recently used.
-                self._entries[spec] = (value, segments)
-                self._entries.move_to_end(spec)
                 metrics().inc("shm.attach.pinned")
 
 
@@ -233,8 +325,8 @@ def detach(spec: object) -> bool:
     The long-lived-worker counterpart of attach caching: a process that
     serves many topologies calls this when it swaps one out, instead of
     waiting for LRU pressure.  Returns ``False`` if ``spec`` was not
-    attached.  Raises ``RuntimeError`` if views over the mapping are
-    still referenced.
+    attached.  Raises ``RuntimeError`` if views over the mapping, or
+    arrays taken out of them, are still referenced.
     """
     return _CACHE.drop(spec)
 
@@ -259,23 +351,30 @@ def set_attach_capacity(capacity: int) -> int:
 _LIVE_OWNERS: "weakref.WeakSet[_SharedArrayOwner]" = weakref.WeakSet()
 
 
-def _untrack(segment: shared_memory.SharedMemory) -> None:
-    """Undo the attach-side resource_tracker registration.
-
-    On Python < 3.13 every ``SharedMemory(name=...)`` attach registers
-    the segment with the process's resource tracker, which then tries
-    to unlink it again at exit (the owner already did) and warns about
-    "leaked" objects.  Only the owner should track the segment.
-    """
-    resource_tracker.unregister(getattr(segment, "_name", segment.name), "shared_memory")
+def _view(segment: shared_memory.SharedMemory, spec: SharedArraySpec) -> np.ndarray:
+    """A read-only array over one segment's buffer."""
+    view: np.ndarray = np.ndarray(
+        spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
+    )
+    return freeze(view)
 
 
-def _export(array: np.ndarray) -> tuple[SharedArraySpec, shared_memory.SharedMemory, np.ndarray]:
-    segment = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view: np.ndarray = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    view[...] = array
-    freeze(view)
-    return SharedArraySpec(segment.name, array.shape, array.dtype.str), segment, view
+def _export(
+    arrays: Sequence[np.ndarray],
+) -> tuple[list[SharedArraySpec], list[shared_memory.SharedMemory], list[np.ndarray]]:
+    """Copy each array into a fresh segment; return specs, segments, views."""
+    specs: list[SharedArraySpec] = []
+    segments: list[shared_memory.SharedMemory] = []
+    views: list[np.ndarray] = []
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        segment = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
+        view: np.ndarray = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        view[...] = array
+        specs.append(SharedArraySpec(segment.name, array.shape, array.dtype.str))
+        segments.append(segment)
+        views.append(freeze(view))
+    return specs, segments, views
 
 
 class _SharedArrayOwner:
@@ -409,98 +508,154 @@ def cleanup_on_signal(
     return uninstall
 
 
+def _conflicting_shards(n_partitioned: int, n_shards: int | None) -> None:
+    """Refuse an ``n_shards`` that contradicts a pre-partitioned source."""
+    if n_shards is not None and n_shards != n_partitioned:
+        raise ValueError(
+            f"source is already partitioned into {n_partitioned} "
+            f"shards; n_shards={n_shards} conflicts"
+        )
+
+
 class SharedTopology(_SharedArrayOwner):
     """Owner handle for a topology published to shared memory.
 
-    The owner keeps working against the same bytes the workers see:
-    ``self.spec`` is the worker-side address, and the segments live
-    until :meth:`close` (or context-manager exit).
+    Accepts a :class:`Topology` plus ``n_shards`` (default one shard)
+    or a pre-partitioned :class:`ShardSet`.  Each shard's offsets and
+    neighbors get a segment of their own, plus one for the global
+    forwards mask.  The owner pre-seeds the attachment cache with views
+    over the published segments, so the owning process (and
+    fork-started workers) read the exact bytes the spec addresses.
     """
 
     spec: SharedTopologySpec
 
-    def __init__(self, topology: Topology) -> None:
-        off_spec, off_seg, off_view = _export(np.ascontiguousarray(topology.offsets))
-        nbr_spec, nbr_seg, nbr_view = _export(np.ascontiguousarray(topology.neighbors))
-        fwd_spec, fwd_seg, fwd_view = _export(np.ascontiguousarray(topology.forwards))
-        self._adopt(
-            SharedTopologySpec(off_spec, nbr_spec, fwd_spec),
-            [off_seg, nbr_seg, fwd_seg],
-            Topology(off_view, nbr_view, fwd_view),
+    def __init__(
+        self, source: Topology | ShardSet, *, n_shards: int | None = None
+    ) -> None:
+        if isinstance(source, ShardSet):
+            _conflicting_shards(source.n_shards, n_shards)
+            shard_set = source
+        else:
+            shard_set = partition_topology(source, n_shards or 1)
+        with span("shard.publish", shards=shard_set.n_shards):
+            specs, segments, views = _export(
+                [shard_set.forwards]
+                + [a for s in shard_set.shards for a in (s.offsets, s.neighbors)]
+            )
+        spec = SharedTopologySpec(
+            bounds=tuple(int(b) for b in shard_set.bounds),
+            forwards=specs[0],
+            shards=tuple(
+                ShardSpec(s.lo, s.hi, specs[1 + 2 * i], specs[2 + 2 * i])
+                for i, s in enumerate(shard_set.shards)
+            ),
+            boundary_counts=tuple(
+                tuple(int(c) for c in row) for row in shard_set.boundary_counts
+            ),
         )
+        self._adopt(spec, segments, _shard_set_view(spec, views))
 
     def __enter__(self) -> "SharedTopology":
         return self
 
+    @property
+    def shard_set(self) -> ShardSet:
+        """The view-backed shard set over the published segments."""
+        return attach_topology(self.spec)
 
-class SharedPostings(_SharedArrayOwner):
-    """Owner handle for a content index's posting arrays in shared memory.
 
-    Mirrors :class:`SharedTopology` for the batched query engine: the
-    posting CSR plus the instance-to-peer map are published once, and
-    workers chunking over query batches attach zero-copy views through
-    the picklable :class:`SharedPostingsSpec`.
+class ShardedPostings(_SharedArrayOwner):
+    """Owner handle for posting shards published to shared memory.
+
+    Accepts a content index (or dense provider) plus ``n_shards``
+    (default one shard), or a pre-partitioned
+    :class:`~repro.overlay.content.PostingShardSet`.  The pre-seeded
+    attachment is a view-backed shard set carrying ``spec``, so
+    consumers holding the provider can recover the worker address
+    without re-publishing.
     """
 
-    spec: SharedPostingsSpec
+    spec: ShardedPostingsSpec
 
-    def __init__(self, content: SharedContentIndex) -> None:
-        off_spec, off_seg, off_view = _export(
-            np.ascontiguousarray(content._posting_offsets)
+    def __init__(
+        self,
+        source: SharedContentIndex | DensePostings | PostingShardSet,
+        *,
+        n_shards: int | None = None,
+    ) -> None:
+        if isinstance(source, PostingShardSet):
+            _conflicting_shards(source.n_shards, n_shards)
+            shard_set = source
+        else:
+            shard_set = partition_postings(source, n_shards or 1)
+        with span("postings.publish", shards=shard_set.n_shards):
+            specs, segments, views = _export(
+                [shard_set.instance_peer]
+                + [a for s in shard_set.shards for a in (s.offsets, s.instances)]
+            )
+        spec = ShardedPostingsSpec(
+            bounds=tuple(int(b) for b in shard_set.bounds),
+            instance_peer=specs[0],
+            shards=tuple(
+                PostingShardSpec(s.lo, s.hi, specs[1 + 2 * i], specs[2 + 2 * i])
+                for i, s in enumerate(shard_set.shards)
+            ),
         )
-        ins_spec, ins_seg, ins_view = _export(
-            np.ascontiguousarray(content._posting_instances)
-        )
-        pee_spec, pee_seg, pee_view = _export(
-            np.ascontiguousarray(content.instance_peer)
-        )
-        self._adopt(
-            SharedPostingsSpec(off_spec, ins_spec, pee_spec),
-            [off_seg, ins_seg, pee_seg],
-            DensePostings(off_view, ins_view, pee_view),
-        )
+        self._adopt(spec, segments, _posting_set_view(spec, views))
 
-    def __enter__(self) -> "SharedPostings":
+    def __enter__(self) -> "ShardedPostings":
         return self
 
+    @property
+    def provider(self) -> PostingShardSet:
+        """The view-backed shard set over the published segments."""
+        return attach_postings(self.spec)
 
-def _attach_arrays(specs: tuple[SharedArraySpec, ...]) -> tuple[list[np.ndarray], list[shared_memory.SharedMemory]]:
-    """Map a tuple of array specs read-only into this process."""
+
+def _untrack(segment: shared_memory.SharedMemory) -> None:
+    """Undo the attach-side resource_tracker registration.
+
+    On Python < 3.13 every ``SharedMemory(name=...)`` attach registers
+    the segment with the process's resource tracker, which then tries
+    to unlink it again at exit (the owner already did) and warns about
+    "leaked" objects.  Only the owner should track the segment.
+    """
+    resource_tracker.unregister(getattr(segment, "_name", segment.name), "shared_memory")
+
+
+_Spec = TypeVar("_Spec", SharedTopologySpec, ShardedPostingsSpec)
+_View = TypeVar("_View")
+
+
+def _attach(
+    spec: _Spec, build: Callable[[_Spec, Sequence[np.ndarray]], _View]
+) -> _View:
+    """Map every segment of ``spec`` read-only and cache the built view."""
+    cached = _CACHE.get(spec)
+    if cached is not None:
+        return cast(_View, cached)
+    array_specs = spec.arrays()
     segments: list[shared_memory.SharedMemory] = []
-    arrays: list[np.ndarray] = []
-    for array_spec in specs:
+    for array_spec in array_specs:
         segment = shared_memory.SharedMemory(name=array_spec.name)
         _untrack(segment)
         segments.append(segment)
-        view: np.ndarray = np.ndarray(
-            array_spec.shape, dtype=np.dtype(array_spec.dtype), buffer=segment.buf
-        )
-        freeze(view)
-        arrays.append(view)
-    return arrays, segments
+
+    def views() -> tuple[object, list[np.ndarray]]:
+        arrays = [_view(seg, s) for seg, s in zip(segments, array_specs)]
+        return build(spec, arrays), arrays
+
+    value, arrays = views()
+    _CACHE.put(spec, value, segments, arrays, views)
+    return cast(_View, value)
 
 
-def attach_topology(spec: SharedTopologySpec) -> Topology:
+def attach_topology(spec: SharedTopologySpec) -> ShardSet:
     """Map a published topology into this process (cached, read-only)."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        assert isinstance(cached, Topology)
-        return cached
-    arrays, segments = _attach_arrays((spec.offsets, spec.neighbors, spec.forwards))
-    topology = Topology(arrays[0], arrays[1], arrays[2])
-    _CACHE.put(spec, topology, segments)
-    return topology
+    return _attach(spec, _shard_set_view)
 
 
-def attach_postings(spec: SharedPostingsSpec) -> DensePostings:
-    """Map published posting arrays into this process (cached, read-only)."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        assert isinstance(cached, DensePostings)
-        return cached
-    arrays, segments = _attach_arrays(
-        (spec.posting_offsets, spec.posting_instances, spec.instance_peer)
-    )
-    postings = DensePostings(arrays[0], arrays[1], arrays[2])
-    _CACHE.put(spec, postings, segments)
-    return postings
+def attach_postings(spec: ShardedPostingsSpec) -> PostingShardSet:
+    """Map published posting shards into this process (cached, read-only)."""
+    return _attach(spec, _posting_set_view)

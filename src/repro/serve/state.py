@@ -4,7 +4,7 @@
 builds (or loads from the mmap-blob artifact cache) the topology and
 content index, publishes them to shared memory **once**, and holds the
 owner handles — :class:`~repro.runtime.shm.SharedTopology`,
-:class:`~repro.runtime.shards.ShardedPostings`, and (when sharded) a
+:class:`~repro.runtime.shm.ShardedPostings`, and (when sharded) a
 :class:`~repro.runtime.shards.ShardedFloodRunner` — resident for the
 process lifetime.  Every request then dispatches through one
 persistent :class:`~repro.overlay.batch.BatchQueryEngine` whose flood
@@ -25,8 +25,8 @@ from repro.obs import get_logger, span
 from repro.overlay.batch import BatchQueryEngine
 from repro.overlay.content import SharedContentIndex, partition_postings
 from repro.overlay.topology import Topology
-from repro.runtime.shards import ShardedFloodRunner, ShardedPostings
-from repro.runtime.shm import SharedTopology
+from repro.runtime.shards import ShardedFloodRunner
+from repro.runtime.shm import ShardedPostings, SharedTopology
 
 __all__ = ["ServiceConfig", "ServiceState"]
 

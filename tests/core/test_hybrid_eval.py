@@ -34,6 +34,13 @@ class TestHybridClaims:
         # 0.5*log2(40,000) ~ 7.6.
         assert 4 <= result.dht_hops_per_lookup <= 14
 
+    def test_parallel_probes_match_serial(self, result):
+        # Workers read the published one-shard topology via flat views.
+        parallel = evaluate_hybrid(
+            HybridEvalConfig(n_eval_objects=60, n_flood_probes=20, n_workers=2)
+        )
+        assert parallel == result
+
     def test_rows_render(self, result):
         rows = result.as_rows()
         assert len(rows) == 10

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import LintConfig, lint_file
 from repro.lint.sarif import to_sarif
 
@@ -80,6 +82,41 @@ def test_sim021_flags_each_unsafe_cargo() -> None:
 
 def test_sim021_spec_shipping_passes() -> None:
     assert _diags("sim021_ok.py", "SIM021") == []
+
+
+# -- default config coverage ------------------------------------------
+
+_POSTINGS_OWNER = (
+    "from repro.runtime.parallel import pmap\n"
+    "from repro.runtime.shm import ShardedPostings, attach_postings\n"
+    "\n"
+    "def count(item, task_rng):\n"
+    "    return 1\n"
+    "\n"
+    "def leak(content):\n"
+    "    share = ShardedPostings(content)\n"
+    "    spec = share.spec\n"
+    "    return spec\n"
+    "\n"
+    "def ship(content, seed):\n"
+    "    with ShardedPostings(content) as share:\n"
+    "        return pmap(count, [share], seed=seed, key='s021-postings')\n"
+    "\n"
+    "def poke(spec):\n"
+    "    view = attach_postings(spec)\n"
+    "    view.instance_peer[0] = -1\n"
+    "\n"
+    "def publish(matrix):\n"
+    "    with ShardedPostings(matrix.T) as share:\n"
+    "        return share.spec\n"
+)
+
+
+@pytest.mark.parametrize("code", ["SIM012", "SIM016", "SIM019", "SIM021"])
+def test_default_config_covers_the_postings_owner(tmp_path: Path, code: str) -> None:
+    path = tmp_path / "postings_owner.py"
+    path.write_text(_POSTINGS_OWNER)
+    assert len(lint_file(path, LintConfig(select=frozenset({code})))) == 1
 
 
 # -- pragma discipline ------------------------------------------------

@@ -285,49 +285,6 @@ class TestDepthDtype:
         assert int(depth.max()) < 32_767
 
 
-class TestFloodDepthsIter:
-    """Chunked iteration must reproduce the batch rows exactly."""
-
-    def test_chunks_concatenate_to_the_batch(self):
-        from repro.overlay.flooding import flood_depths_iter
-
-        topo = two_tier_gnutella(500, seed=6)
-        sources = np.array([0, 4, 4, 99, 250, 499, 0])
-        ref_depth, ref_messages = flood_depths_batch(topo, sources, 5)
-        for chunk_size in (1, 2, 3, 7, 64):
-            rows, messages, seen = [], [], []
-            for chunk_sources, depth, msgs in flood_depths_iter(
-                sources, 5, topology=topo, chunk_size=chunk_size
-            ):
-                assert chunk_sources.size == depth.shape[0] == msgs.size
-                assert chunk_sources.size <= chunk_size
-                rows.append(depth)
-                messages.append(msgs)
-                seen.append(chunk_sources)
-            assert np.array_equal(np.concatenate(seen), sources)
-            assert np.array_equal(np.vstack(rows), ref_depth)
-            assert np.array_equal(np.concatenate(messages), ref_messages)
-
-    def test_accepts_a_shared_cache(self):
-        from repro.overlay.flooding import flood_depths_iter
-
-        topo = two_tier_gnutella(300, seed=8)
-        cache = FloodDepthCache(topo)
-        sources = np.array([1, 2, 1])
-        ref = flood_depths_batch(topo, sources, 4)
-        chunks = list(flood_depths_iter(sources, 4, cache=cache, chunk_size=2))
-        assert np.array_equal(np.vstack([c[1] for c in chunks]), ref[0])
-
-    def test_validates_inputs(self):
-        from repro.overlay.flooding import flood_depths_iter
-
-        topo = two_tier_gnutella(100, seed=1)
-        with pytest.raises(ValueError, match="chunk_size"):
-            next(flood_depths_iter(np.array([0]), 3, topology=topo, chunk_size=0))
-        with pytest.raises(ValueError, match="topology"):
-            next(flood_depths_iter(np.array([0]), 3))
-
-
 class TestProviderBackedCache:
     def test_cache_requires_an_anchor(self):
         with pytest.raises(ValueError, match="topology or a depth provider"):

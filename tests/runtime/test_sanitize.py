@@ -87,7 +87,7 @@ class TestFreeze:
         # Satellite 1: attach paths freeze with or without sanitize mode.
         topo = two_tier_gnutella(150, seed=3)
         with SharedTopology(topo) as share:
-            attached = attach_topology(share.spec)
+            attached = attach_topology(share.spec).flat()
             assert attached.neighbors.flags.writeable is False
             assert attached.offsets.flags.writeable is False
 

@@ -1,6 +1,6 @@
 """Lifecycle tests for the shm layer: signal cleanup + attach eviction.
 
-Two bugs these lock in against regression:
+Three bugs these lock in against regression:
 
 * SIGTERM/SIGINT never run ``__del__``/``finally`` safety nets, so a
   killed owner process used to orphan its ``/dev/shm`` segments
@@ -9,6 +9,9 @@ Two bugs these lock in against regression:
 * the per-process attachment caches grew without bound; they are now a
   bounded LRU with weakref-guarded eviction plus explicit
   :func:`detach`.
+* that guard used to probe only the cached view object, so an array
+  taken out of a view did not pin its mapping: ``detach`` unmapped it
+  and the next read segfaulted.
 """
 
 from __future__ import annotations
@@ -125,11 +128,66 @@ class TestAttachCacheEviction:
         finally:
             owner.close()
 
+    def test_arrays_and_flat_views_pin_their_mapping(self):
+        # In a child process: at the bug, the final reads segfault.
+        proc = subprocess.run(
+            [sys.executable, "-c", _PIN_CHILD],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        names, _, verdicts = proc.stdout.partition("\n")
+        for path in _segment_paths(names.split()):  # a crashed child leaks
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+        assert proc.returncode == 0, proc.stderr
+        assert verdicts.split() == ["refused", "ok", "refused", "ok", "detached"]
+
     def test_set_attach_capacity_validates_and_restores(self):
         with pytest.raises(ValueError):
             set_attach_capacity(0)
         previous = set_attach_capacity(5)
         assert set_attach_capacity(previous) == 5
+
+
+_PIN_CHILD = """
+from repro.overlay.topology import flat_random
+from repro.runtime.shm import _CACHE, SharedTopology, attach_topology, detach
+
+topology = flat_random(48, 4.0, seed=3)
+expected = int(topology.neighbors.sum())
+with SharedTopology(topology) as owner:
+    spec = owner.spec
+    print(*(array.name for array in spec.arrays()), flush=True)
+    # Forget the owner's own view, then attach by name as a worker does.
+    assert _CACHE.drop(spec) is True
+    neighbors = attach_topology(spec).shards[0].neighbors
+    for held in ("array", "flat view"):
+        try:
+            detach(spec)
+        except RuntimeError as exc:
+            assert "still referenced" in str(exc)
+            print("refused")
+        if held == "array":
+            assert int(neighbors.sum()) == expected
+            flat = attach_topology(spec).flat()
+            del neighbors
+        else:
+            assert int(flat.neighbors.sum()) == expected
+            del flat
+        print("ok", flush=True)
+    assert detach(spec) is True
+    print("detached")
+"""
+
+
+def _child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 _CHILD_TEMPLATE = """
@@ -139,20 +197,17 @@ from repro.runtime.shm import SharedTopology, cleanup_on_signal
 
 owner = SharedTopology(flat_random(64, 4.0, seed=1))
 {install}
-spec = owner.spec
-print(spec.offsets.name, spec.neighbors.name, spec.forwards.name, flush=True)
+print(*(array.name for array in owner.spec.arrays()), flush=True)
 signal.pause()
 """
 
 
 def _spawn_owner_child(install: str) -> tuple[subprocess.Popen, list[str]]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD_TEMPLATE.format(install=install)],
         stdout=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.stdout is not None
     names = proc.stdout.readline().split()

@@ -11,15 +11,21 @@ from __future__ import annotations
 import asyncio
 import threading
 
+import numpy as np
 import pytest
 
-from repro.serve.protocol import FloodProbeRequest, ResolvabilityRequest
+from repro.serve.protocol import (
+    FloodProbeRequest,
+    ResolvabilityRequest,
+    encode_outcome,
+)
 from repro.serve.service import (
     Overloaded,
     QueryService,
     ServiceClosed,
     ServicePolicy,
 )
+from repro.serve.state import ServiceState
 
 from tests.serve.conftest import direct_reply, make_search
 
@@ -118,6 +124,28 @@ class TestGoldenParity:
         for request, (status, body) in zip(requests, replies):
             assert status == 200
             assert body == direct_reply(serve_state, request)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_engine_fan_out_reads_the_published_segments(
+        self, serve_topology, small_content, query_pool, n_shards
+    ):
+        # --engine-workers > 1: pmap workers attach the state's one-shard
+        # topology and its posting shards instead of re-publishing.
+        request = make_search(
+            query_pool,
+            sources=tuple(range(0, 48, 2)),
+            picks=tuple(i % len(query_pool) for i in range(24)),
+            ttl_schedule=(1, 3),
+        )
+        keys = [small_content.query_key(list(q)) for q in request.queries]
+        sources = np.asarray(request.sources, dtype=np.int64)
+        with ServiceState(
+            serve_topology, small_content, n_shards=n_shards, engine_workers=2
+        ) as state:
+            fanned = state.engine.evaluate_keys(
+                sources, keys, ttl_schedule=(1, 3), n_workers=2
+            )
+            assert encode_outcome(fanned) == direct_reply(state, request)
 
     def test_resolvability_and_flood_probe(self, serve_state):
         # A single indexed term is resolvable by construction; an
