@@ -248,8 +248,8 @@ def test_perf_simlint_full(benchmark):
     """Full-repo simlint run (src + tests + benchmarks).
 
     The analyzer is a pre-commit hook and a tier-1 test, so its wall
-    time is a tracked perf surface like any kernel: the v4 concurrency
-    rules ride the same phase-1 index and the memoized ``own_nodes``
+    time is a tracked perf surface like any kernel: the project rules
+    ride the same phase-1 index and the memoized ``own_nodes``
     traversal, and this bench pins the whole pipeline under the same
     5 s budget ``test_self_clean`` enforces.  One round: the run is
     seconds-scale and the WeakKeyDictionary caches would make warm

@@ -10,11 +10,11 @@ sub-second), and the batch intersection kernel, recording wall time,
 ``peak_rss_bytes`` and distinct-queries/sec into ``BENCH_perf.json``
 via the shared conftest hook.
 
-Peak RSS is checked against the *static* prediction in
-``lint/mem-budget.json`` (the postings group, rescaled from the
-calibration library size to this run's) times a slack factor for the
-tokenizer, the name interner and the interpreter; a failure means the
-measured footprint regressed past what the committed budget promises.
+Peak RSS is checked against a per-peer byte figure derived from the
+posting-array dtypes (rescaled from the calibration library size to
+this run's) times a slack factor for the tokenizer, the name interner
+and the interpreter; a failure means the measured footprint regressed
+past what those dtypes promise.
 
 Gated by ``REPRO_SCALE_BENCH=1`` (set by the nightly workflow): a
 million-peer run has no place in the per-PR test path.
@@ -22,10 +22,8 @@ million-peer run has no place in the per-PR test path.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,17 +45,22 @@ N_PEERS = 1_000_000
 #: files/peer keeps ~11.5M instances, enough that posting-list element
 #: work (not call overhead) dominates the kernels under test.
 MEAN_LIBRARY_SIZE = 12.0
-#: Library size the committed mem-budget's postings group is
-#: calibrated at (the default trace config).
+#: Library size POSTINGS_BYTES_PER_PEER is calibrated at (the default
+#: trace config).
 BUDGET_LIBRARY_SIZE = 120.0
+#: Posting bytes per peer at BUDGET_LIBRARY_SIZE files, from the int32
+#: (4-byte) arrays: instance-to-peer map 120 x 4 = 480, posting
+#: instances 420 x 4 = 1,680 (~3.5 postings per instance), posting
+#: offsets 40 x 4 = 160 (~40 distinct terms per peer).
+POSTINGS_BYTES_PER_PEER = 2320.0
 #: Streaming block sizes: peers per RNG block / instances per
 #: tokenization block.
 PEER_BLOCK = 50_000
 STREAM_BLOCK = 200_000
 N_SHARDS = 8
-#: Measured RSS may exceed the static posting-array budget by this
-#: factor — the tokenizer, the observed-name interner, the query
-#: workload and the interpreter are not in the budget's groups.
+#: Measured RSS may exceed the posting-array figure by this factor —
+#: the tokenizer, the observed-name interner, the query workload and
+#: the interpreter are not in it.
 RSS_SLACK = 3.0
 #: Interpreter + numpy + interned-string baseline not attributable to
 #: per-peer arrays.
@@ -69,17 +72,14 @@ SCALE_TRACE = GnutellaTraceConfig(
 
 
 def _budgeted_rss_limit() -> int:
-    """Byte ceiling from the committed static memory budget.
+    """Byte ceiling from the per-peer figure (4,990,967,296 B at 1M peers).
 
-    The postings group's ``bytes_per_node`` scales linearly with the
-    mean library size (every array in the group is per-instance or
-    per-term with instance-proportional entries), so the committed
-    figure is rescaled from the calibration library to this run's.
+    Every posting array is per-instance or per-term with
+    instance-proportional entries, so the figure scales linearly with
+    the mean library size and is rescaled from the calibration
+    library to this run's.
     """
-    budget_path = Path(__file__).resolve().parent.parent / "lint" / "mem-budget.json"
-    committed = json.loads(budget_path.read_text(encoding="utf-8"))
-    per_node = float(committed["groups"]["postings"]["bytes_per_node"])
-    scaled = per_node * (MEAN_LIBRARY_SIZE / BUDGET_LIBRARY_SIZE)
+    scaled = POSTINGS_BYTES_PER_PEER * (MEAN_LIBRARY_SIZE / BUDGET_LIBRARY_SIZE)
     return int(RSS_BASELINE_BYTES + RSS_SLACK * scaled * N_PEERS)
 
 
@@ -116,8 +116,8 @@ def test_scale_streaming_content_build(benchmark):
     benchmark.extra_info["peak_rss_bytes"] = rss
     benchmark.extra_info["peak_rss_limit_bytes"] = limit
     assert rss <= limit, (
-        f"peak RSS {rss / 2**30:.2f} GiB exceeds the mem-budget ceiling "
-        f"{limit / 2**30:.2f} GiB (lint/mem-budget.json x {RSS_SLACK} slack)"
+        f"peak RSS {rss / 2**30:.2f} GiB exceeds the ceiling "
+        f"{limit / 2**30:.2f} GiB (bytes per peer x {RSS_SLACK} slack)"
     )
 
 

@@ -8,11 +8,11 @@ generation (``edge_block``), the zero-copy mmap artifact cache
 driver, recording wall time, ``peak_rss_bytes`` and nodes/sec/worker
 into ``BENCH_perf.json`` via the shared conftest hook.
 
-Peak RSS is checked against the *static* prediction in
-``lint/mem-budget.json`` (csr_depth + sharding groups — postings are
-not built here) times a slack factor for BFS scratch and the
-interpreter; a failure means the measured footprint regressed past
-what the committed budget promises.
+Peak RSS is checked against a per-node byte figure derived from the
+array dtypes (CSR + depth map, plus the sharded copy of the CSR —
+postings are not built here) times a slack factor for BFS scratch and
+the interpreter; a failure means the measured footprint regressed past
+what those dtypes promise.
 
 Gated by ``REPRO_SCALE_BENCH=1`` (set by the nightly workflow): a
 million-node run has no place in the per-PR test path.
@@ -20,10 +20,8 @@ million-node run has no place in the per-PR test path.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +42,15 @@ N_NODES = 1_000_000
 #: Streaming block size: ~2 MiB of edge draw per block.
 EDGE_BLOCK = 1 << 17
 N_SHARDS = 8
-#: Measured RSS may exceed the static per-node budget by this factor
-#: (BFS scratch masks, the frontier, interpreter overhead, and the
-#: transient per-shard build buffers are not in the budget's groups).
+#: Bytes per node, from the dtypes at the 6.6 mean directed degree of
+#: the Fig. 8 topology.  CSR + depth map: int32 offsets (4) + int32
+#: neighbors (6.6 x 4 = 26.4) + bool forwards (1) + int16 depth (2).
+#: Sharded copy of the CSR: int32 offsets (4) + int32 neighbors (26.4).
+CSR_DEPTH_BYTES_PER_NODE = 33.4
+SHARDING_BYTES_PER_NODE = 30.4
+#: Measured RSS may exceed the per-node figure by this factor (BFS
+#: scratch masks, the frontier, interpreter overhead, and the
+#: transient per-shard build buffers are not in it).
 RSS_SLACK = 3.0
 #: Interpreter + numpy baseline not attributable to per-node arrays.
 RSS_BASELINE_BYTES = 512 * 1024 * 1024
@@ -55,13 +59,8 @@ SCALE_CONFIG = Fig8TopologyConfig(n_nodes=N_NODES, edge_block=EDGE_BLOCK)
 
 
 def _budgeted_rss_limit() -> int:
-    """Byte ceiling from the committed static memory budget."""
-    budget_path = Path(__file__).resolve().parent.parent / "lint" / "mem-budget.json"
-    committed = json.loads(budget_path.read_text(encoding="utf-8"))
-    groups = committed["groups"]
-    per_node = float(groups["csr_depth"]["bytes_per_node"]) + float(
-        groups["sharding"]["bytes_per_node"]
-    )
+    """Byte ceiling from the per-node figures (728,270,912 B at 1M nodes)."""
+    per_node = CSR_DEPTH_BYTES_PER_NODE + SHARDING_BYTES_PER_NODE
     return int(RSS_BASELINE_BYTES + RSS_SLACK * per_node * N_NODES)
 
 
@@ -71,7 +70,7 @@ def scale_topology():
 
 
 def test_scale_streaming_generation(benchmark):
-    """1M-node streamed build: wall time + RSS vs the static budget."""
+    """1M-node streamed build: wall time + RSS vs the per-node ceiling."""
 
     def run():
         return build_fig8_topology(SCALE_CONFIG)
@@ -86,8 +85,8 @@ def test_scale_streaming_generation(benchmark):
     benchmark.extra_info["peak_rss_bytes"] = rss
     benchmark.extra_info["peak_rss_limit_bytes"] = limit
     assert rss <= limit, (
-        f"peak RSS {rss / 2**30:.2f} GiB exceeds the mem-budget ceiling "
-        f"{limit / 2**30:.2f} GiB (lint/mem-budget.json x {RSS_SLACK} slack)"
+        f"peak RSS {rss / 2**30:.2f} GiB exceeds the ceiling "
+        f"{limit / 2**30:.2f} GiB (bytes per node x {RSS_SLACK} slack)"
     )
 
 

@@ -69,9 +69,8 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
         "exitstatus": int(exitstatus),
         "benchmarks": rows,
         "metrics": metrics().snapshot().as_dict(),
-        # Session-wide memory high-water mark, the measured counterpart
-        # of the static bytes-per-node prediction in lint/mem-budget.json
-        # (see docs/performance.md, "Memory budget").
+        # Session-wide memory high-water mark (see docs/performance.md,
+        # "Memory budget").
         "peak_rss_bytes": peak_rss_bytes(),
     }
     out = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_perf.json"))

@@ -23,20 +23,12 @@ Public API layout
     The paper's experiments: flood-success simulation (Fig. 8), TTL
     reach, hybrid-vs-DHT evaluation, the query/annotation mismatch
     pipeline (Figs. 5-7) and the adaptive-synopsis extension.
+
+Subpackages load on demand (``import repro.overlay``): importing
+``repro`` itself loads none of them, so ``python -m repro.lint``
+never pays for scipy, networkx or the simulator.
 """
 
 __version__ = "0.1.0"
 
-from repro import analysis, core, crawler, dht, hybrid, overlay, tracegen, utils
-
-__all__ = [
-    "analysis",
-    "core",
-    "crawler",
-    "dht",
-    "hybrid",
-    "overlay",
-    "tracegen",
-    "utils",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -16,12 +16,15 @@ flood phase is pure overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.overlay.content import SharedContentIndex
 from repro.tracegen.query_trace import QueryWorkload
 from repro.utils.rng import derive
+
+if TYPE_CHECKING:  # overlay.content imports repro.analysis at load time
+    from repro.overlay.content import SharedContentIndex
 
 __all__ = ["ResolvabilityReport", "measure_resolvability"]
 

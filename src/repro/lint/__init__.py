@@ -15,6 +15,7 @@ SIM004    no bare/overbroad ``except`` clauses
 SIM005    ``__all__`` declared and accurate in public modules
 SIM006    no ``==``/``!=`` against float literals
 SIM007    public randomness consumers take an annotated seed/rng param
+SIM008    no bare ``print()`` outside CLI and reporting modules
 ========  ===========================================================
 
 Project rules (phase 2, over the cross-module symbol table and call
@@ -31,8 +32,10 @@ SIM014    producer code changes require a version bump (producers.lock)
 Run ``python -m repro.lint src tests benchmarks`` (or the
 ``repro-lint`` script), tune via ``[tool.simlint]`` in pyproject.toml,
 and suppress a single line with ``# simlint: ignore[SIMxxx] reason``
-(the reason is mandatory for the SIM01x family).  New rules are one
-registered class — see docs/static-analysis.md.
+(the reason is mandatory for the SIM01x family).  The set is kept to
+bug classes no runtime check, test or measured gate would fail on;
+docs/static-analysis.md lists what guards the rules that were removed.
+New rules are one registered class — see the same document.
 """
 
 from repro.lint.baseline import (

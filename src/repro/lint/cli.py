@@ -29,13 +29,6 @@ from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import LintRun, run_lint
 from repro.lint.fixes import apply_fixes
-from repro.lint.membudget import (
-    build_report,
-    check_budget,
-    load_budget,
-    render_report,
-    write_budget,
-)
 from repro.lint.rules import registered_rules
 from repro.lint.sarif import render_sarif
 from repro.lint.semantic import compute_lock_entries, write_producers_lock
@@ -102,18 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply mechanical fixes (SIM012 with-wrap, SIM014 version bump)",
     )
     parser.add_argument(
-        "--mem-report", action="store_true",
-        help=(
-            "print the static memory-footprint report (predicted "
-            "bytes-per-node at 40k/1M/10M nodes) and fail on regression "
-            "against the committed mem-budget"
-        ),
-    )
-    parser.add_argument(
-        "--write-mem-budget", action="store_true",
-        help="pin the current memory-footprint report as the committed budget",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print per-rule counts, files indexed, and timings to stderr",
     )
@@ -164,48 +145,6 @@ def _print_stats(run: LintRun, *, baselined: int) -> None:
         print("  findings by rule:", file=err)
         for code, count in counts.items():
             print(f"    {code}: {count}", file=err)
-
-
-def _mem_budget_mode(
-    args: argparse.Namespace, run: LintRun, config: LintConfig
-) -> int:
-    """``--mem-report`` / ``--write-mem-budget``: the static memory gate."""
-    if run.project is None:
-        print("error: nothing was indexed; cannot build mem report", file=sys.stderr)
-        return 2
-    report = build_report(run.project)
-    budget_path = config.mem_budget_path
-    if args.write_mem_budget:
-        if budget_path is None:
-            print(
-                "error: --write-mem-budget needs [tool.simlint] mem-budget",
-                file=sys.stderr,
-            )
-            return 2
-        write_budget(budget_path, report)
-        print(f"simlint: wrote memory budget to {budget_path}")
-        return 0
-    print(render_report(report))
-    if budget_path is None or not budget_path.is_file():
-        print(
-            "simlint: no committed mem-budget to check against "
-            "(set [tool.simlint] mem-budget and run --write-mem-budget)",
-            file=sys.stderr,
-        )
-        return 0
-    committed = load_budget(budget_path)
-    if committed is None:
-        print(f"error: cannot read budget {budget_path}", file=sys.stderr)
-        return 2
-    problems = check_budget(
-        report, committed, tolerance=config.mem_budget_tolerance
-    )
-    for problem in problems:
-        print(f"mem-budget regression: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    print(f"simlint: memory budget OK (within {config.mem_budget_tolerance:.0%})")
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -274,9 +213,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_producers_lock(lock_path, entries)
         print(f"simlint: wrote {len(entries)} producer(s) to {lock_path}")
         return 0
-
-    if args.mem_report or args.write_mem_budget:
-        return _mem_budget_mode(args, run, config)
 
     if args.fix:
         result = apply_fixes(run)

@@ -87,28 +87,6 @@ DEFAULT_PRINT_ALLOWED = (
 # the same kind: its env switch gates fault *detection*, never values.
 DEFAULT_OBS_MODULES = ("repro.obs", "repro.runtime.sanitize")
 
-# SIM019/SIM021: functions that hand out views over *attached* shm or
-# mmap segments.  Everything they return (and everything projected
-# from it) is consumer-side read-only state: workers may read it, only
-# the owning publisher writes, and the picklable ``.spec`` — never the
-# attached view itself — is what crosses a process boundary.
-DEFAULT_ATTACH_FUNCTIONS = (
-    "repro.runtime.shm.attach_topology",
-    "repro.runtime.shm.attach_postings",
-)
-
-# SIM015-SIM017: roots of the hot set.  A function is *hot* when it is
-# one of these or transitively reachable from one along the resolved
-# call graph; the array-analysis rules only fire there, because dtype
-# width and hidden copies only matter at kernel scale.  The
-# ``[tool.simlint.hot]`` table extends the set for kernels the call
-# graph cannot see (e.g. methods reached through unannotated params).
-DEFAULT_HOT_ROOTS = (
-    "repro.overlay.flooding.flood_depths",
-    "repro.overlay.content.SharedContentIndex.match_batch",
-    "repro.overlay.batch._evaluate_keys",
-)
-
 
 @dataclass(frozen=True)
 class TreeRules:
@@ -152,13 +130,8 @@ class LintConfig:
     derive_functions: tuple[str, ...] = DEFAULT_DERIVE_FUNCTIONS
     print_allowed: tuple[str, ...] = DEFAULT_PRINT_ALLOWED
     obs_modules: tuple[str, ...] = DEFAULT_OBS_MODULES
-    attach_functions: tuple[str, ...] = DEFAULT_ATTACH_FUNCTIONS
-    hot_roots: tuple[str, ...] = DEFAULT_HOT_ROOTS
-    hot_extra: tuple[str, ...] = ()
     baseline: str = ""
     producers_lock: str = ""
-    mem_budget: str = ""
-    mem_budget_tolerance: float = 0.02
     root: Path = field(default_factory=Path.cwd)
 
     def is_rule_enabled(self, code: str, posix_path: str | None = None) -> bool:
@@ -192,10 +165,6 @@ class LintConfig:
     @property
     def producers_lock_path(self) -> Path | None:
         return self.resolve_path(self.producers_lock) if self.producers_lock else None
-
-    @property
-    def mem_budget_path(self) -> Path | None:
-        return self.resolve_path(self.mem_budget) if self.mem_budget else None
 
 
 def find_pyproject(start: Path) -> Path | None:
@@ -249,29 +218,6 @@ def _parse_per_tree(raw: Any) -> tuple[TreeRules, ...]:
     return tuple(trees)
 
 
-def _parse_hot(
-    raw: Any, defaults: "LintConfig"
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Parse ``[tool.simlint.hot]`` into ``(hot_roots, hot_extra)``.
-
-    A table may override ``roots`` and append ``extra``; a bare list is
-    shorthand for ``extra`` (functions added to the default hot set).
-    """
-    if raw is None:
-        return defaults.hot_roots, defaults.hot_extra
-    if isinstance(raw, dict):
-        roots = _as_str_tuple(raw.get("roots", list(defaults.hot_roots)), "hot.roots")
-        extra = _as_str_tuple(raw.get("extra", []), "hot.extra")
-        return roots, extra
-    return defaults.hot_roots, _as_str_tuple(raw, "hot")
-
-
-def _as_float(value: Any, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"[tool.simlint] {key!r} must be a number")
-    return float(value)
-
-
 def load_config(
     pyproject: Path | None,
     *,
@@ -298,7 +244,6 @@ def load_config(
                 table = {key.replace("-", "_"): value for key, value in raw.items()}
 
     defaults = LintConfig()
-    hot_roots, hot_extra = _parse_hot(table.get("hot"), defaults)
     return LintConfig(
         select=(
             select
@@ -339,18 +284,7 @@ def load_config(
         obs_modules=_as_str_tuple(
             table.get("obs_modules", defaults.obs_modules), "obs_modules"
         ),
-        attach_functions=_as_str_tuple(
-            table.get("attach_functions", defaults.attach_functions),
-            "attach_functions",
-        ),
-        hot_roots=hot_roots,
-        hot_extra=hot_extra,
         baseline=_as_str(table.get("baseline", ""), "baseline"),
         producers_lock=_as_str(table.get("producers_lock", ""), "producers_lock"),
-        mem_budget=_as_str(table.get("mem_budget", ""), "mem_budget"),
-        mem_budget_tolerance=_as_float(
-            table.get("mem_budget_tolerance", defaults.mem_budget_tolerance),
-            "mem_budget_tolerance",
-        ),
         root=(pyproject.parent if pyproject is not None else Path.cwd()),
     )

@@ -22,14 +22,11 @@ from weakref import WeakKeyDictionary
 from repro.lint.index import dotted_name, resolve_alias
 
 __all__ = [
-    "assigned_names",
     "cleanup_guaranteed",
     "escapes",
     "free_names",
-    "mutation_sites",
     "own_nodes",
     "rng_tainted_names",
-    "walk_shallow",
 ]
 
 #: Annotations that mark a parameter as carrying a live generator.
@@ -92,61 +89,17 @@ def own_nodes(
     return iter(cached)
 
 
-def walk_shallow(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk an arbitrary subtree without descending into nested defs.
-
-    Like :func:`own_nodes` but rooted at any node (e.g. one loop body),
-    which is what the array rules need when asking "does this loop body
-    call anything?" without being confused by a nested helper def.
-    """
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if current is not node and isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def mutation_sites(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[tuple[str, ast.expr | None]]:
-    """``(name, stored_value)`` pairs for in-place stores into a local.
-
-    Covers ``name[...] = value`` subscript stores and ``name[...] += x`` /
-    ``name += x`` augmented assignments (value ``None`` — the result is
-    not a plain expression the caller can re-infer).  The array analysis
-    uses these to widen a local's value range after its creation site.
-    """
-    for node in own_nodes(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    yield target.value.id, node.value
-        elif isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Subscript) and isinstance(
-                node.target.value, ast.Name
-            ):
-                yield node.target.value.id, None
-            elif isinstance(node.target, ast.Name):
-                yield node.target.id, None
-
-
-def assigned_names(target: ast.expr) -> set[str]:
+def _assigned_names(target: ast.expr) -> set[str]:
     """Names bound by an assignment target (unpacking included)."""
     if isinstance(target, ast.Name):
         return {target.id}
     if isinstance(target, (ast.Tuple, ast.List)):
         names: set[str] = set()
         for element in target.elts:
-            names |= assigned_names(element)
+            names |= _assigned_names(element)
         return names
     if isinstance(target, ast.Starred):
-        return assigned_names(target.value)
+        return _assigned_names(target.value)
     return set()
 
 
@@ -190,15 +143,15 @@ def rng_tainted_names(
         if isinstance(node, ast.Assign):
             targets: set[str] = set()
             for target in node.targets:
-                targets |= assigned_names(target)
+                targets |= _assigned_names(target)
             assignments.append((targets, node.value))
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            assignments.append((assigned_names(node.target), node.value))
+            assignments.append((_assigned_names(node.target), node.value))
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             # ``for task_rng in rngs:`` taints the loop variable.
-            assignments.append((assigned_names(node.target), node.iter))
+            assignments.append((_assigned_names(node.target), node.iter))
         elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            assignments.append((assigned_names(node.optional_vars), node.context_expr))
+            assignments.append((_assigned_names(node.optional_vars), node.context_expr))
 
     def value_is_tainted(value: ast.expr) -> bool:
         # Taint flows *structurally*: a bare tainted name, an element
@@ -238,7 +191,7 @@ def rng_tainted_names(
             if comp_tainted and isinstance(value.elt, ast.Name):
                 targets: set[str] = set()
                 for gen in value.generators:
-                    targets |= assigned_names(gen.target)
+                    targets |= _assigned_names(gen.target)
                 return value.elt.id in targets
             return value_is_tainted(value.elt)
         return False

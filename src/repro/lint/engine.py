@@ -4,9 +4,9 @@ v2 runs in two phases.  Phase 1 parses every target file once, runs
 the per-file rules, and builds the project-wide
 :class:`~repro.lint.index.ProjectIndex` (symbol table + call graph).
 Phase 2 hands that index to the registered
-:class:`~repro.lint.rules.ProjectRule`\\ s (SIM010-SIM014 determinism
-and lifecycle rules, SIM015-SIM017 array scale-readiness rules), whose
-dataflow analyses span function and module boundaries.
+:class:`~repro.lint.rules.ProjectRule`\\ s (the SIM010-SIM014
+determinism and lifecycle rules), whose dataflow analyses span
+function and module boundaries.
 
 Suppression happens here, not in rules: a rule always reports what it
 sees, and the engine drops diagnostics whose line carries a
@@ -27,9 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.lint import arrays as _arrays  # noqa: F401  (registers SIM015-SIM017)
-from repro.lint import builtin as _builtin  # noqa: F401  (registers SIM001-SIM007)
-from repro.lint import concurrency as _concurrency  # noqa: F401  (SIM018-SIM021)
+from repro.lint import builtin as _builtin  # noqa: F401  (registers SIM001-SIM008)
 from repro.lint import semantic as _semantic  # noqa: F401  (registers SIM010-SIM014)
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -57,10 +55,10 @@ __all__ = [
 # explicit; there is deliberately no blanket "ignore everything" form.
 _PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(.*)$")
 
-# Semantic- and concurrency-family suppressions must explain
-# themselves: the rules they silence encode cross-module contracts a
-# reader cannot re-derive from the single pragma'd line.
-_REASON_REQUIRED_RE = re.compile(r"^SIM0(?:1\d|2[01])$")
+# Semantic-family suppressions must explain themselves: the rules they
+# silence encode cross-module contracts a reader cannot re-derive from
+# the single pragma'd line.
+_REASON_REQUIRED_RE = re.compile(r"^SIM01\d$")
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def _filter_findings(
                     replace(
                         diag,
                         message=diag.message
-                        + " [pragma refused: SIM01x/SIM02x suppressions "
+                        + " [pragma refused: SIM01x suppressions "
                         "require a reason after the bracket]",
                     )
                 )

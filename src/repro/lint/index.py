@@ -63,7 +63,7 @@ def dotted_name(node: ast.expr) -> str | None:
 
 
 # One parsed tree is walked end to end by many consumers: several
-# per-file rules, the alias scan below, and the concurrency layer.
+# per-file rules, the alias scan below, and the semantic rules.
 # ast.walk re-derives the same node sequence each time and its
 # iter_child_nodes traffic dominates whole-repo lint time, so the flat
 # BFS order is memoized per tree.  WeakKeyDictionary entries die with
@@ -215,11 +215,6 @@ class ModuleInfo:
     local_defs: dict[str, str] = field(default_factory=dict)
     #: module-level ``NAME = <int literal>`` constants (SIM014 versions).
     int_constants: dict[str, int] = field(default_factory=dict)
-    #: module-level ``NAME = <expr>`` bindings whose value is a simple
-    #: name chain or call (``INDEX_DTYPE = np.int32``); the array
-    #: analysis resolves dtype constants through these, including
-    #: cross-module via the importing module's alias map.
-    const_exprs: dict[str, ast.expr] = field(default_factory=dict)
 
 
 class ProjectIndex:
@@ -261,19 +256,15 @@ class ProjectIndex:
                         self.functions[method_qual] = method
                 self.classes[cls_qual] = cls
                 info.local_defs[stmt.name] = cls_qual
-            elif isinstance(stmt, ast.Assign):
-                if (
-                    isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, int)
-                    and not isinstance(stmt.value.value, bool)
-                ):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            info.int_constants[target.id] = stmt.value.value
-                elif isinstance(stmt.value, (ast.Name, ast.Attribute, ast.Call)):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            info.const_exprs[target.id] = stmt.value
+            elif (
+                isinstance(stmt, ast.Assign)
+                and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, int)
+                and not isinstance(stmt.value.value, bool)
+            ):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        info.int_constants[target.id] = stmt.value.value
 
     def link_calls(self) -> None:
         """Phase-1b: resolve every call site in every indexed function."""
@@ -509,9 +500,10 @@ def normalized_digest(*nodes: ast.AST) -> str:
 
 # -- content-addressed index cache ------------------------------------
 
-# Bumped to 2 when ModuleInfo gained ``const_exprs`` (v3 array
-# analysis): the schema participates in the cache key, so pickles from
-# older builds simply miss instead of deserializing a stale shape.
+# The schema participates in the cache key, so pickles from older
+# builds simply miss instead of deserializing a stale shape.  Bump it
+# when ModuleInfo or ProjectIndex gains a field a rule reads; a dropped
+# field needs no bump (an old pickle merely carries an unread extra).
 _INDEX_CACHE_SCHEMA = 2
 
 

@@ -33,8 +33,8 @@ _TOOL_VERSION = "4.0.0"
 _TOOL_URI = "https://example.invalid/simlint"  # repo-local tool; no homepage
 
 # Per-rule documentation anchors: docs/static-analysis.md carries one
-# ``#simNNN`` section per rule, so code-scanning UIs can deep-link the
-# rationale next to the finding.
+# ``id="simNNN"`` anchor per rule, so code-scanning UIs can deep-link
+# the rationale next to the finding.
 _HELP_URI_TEMPLATE = _TOOL_URI + "/docs/static-analysis.md#{anchor}"
 
 

@@ -21,19 +21,6 @@ SIM014    a producer whose normalized AST digest changed must bump its
 All five are :class:`~repro.lint.rules.ProjectRule`\\ s: they run over
 the phase-1 :class:`~repro.lint.index.ProjectIndex` and the phase-2
 dataflow primitives rather than a single file's tree.
-
-The family continues in :mod:`repro.lint.arrays` (v3), which layers
-numpy dtype/value-range inference on the same index:
-
-========  ===========================================================
-SIM015    no 64-bit array in a hot kernel whose inferred value range
-          provably fits int32/int16
-SIM016    no hidden-copy constructs (``np.unique`` per iteration,
-          chained fancy indexing, redundant ``astype``,
-          non-contiguous slices into the shm transport)
-SIM017    no per-element Python loops in hot kernels where the
-          vectorized primitive exists
-========  ===========================================================
 """
 
 from __future__ import annotations

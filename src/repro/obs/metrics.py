@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 __all__ = [
     "HistogramSnapshot",
@@ -424,6 +424,15 @@ class MetricsRegistry:
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(sorted(self._counters.items()))
+
+    def __reduce__(self) -> NoReturn:
+        # A worker recording into an unpickled copy would drop every
+        # count it makes; the parent never sees the copy.
+        raise TypeError(
+            "MetricsRegistry is process-local and cannot be pickled; "
+            "workers ship counter deltas (snapshot().delta_since) and "
+            "the parent merges them"
+        )
 
 
 #: The process-wide registry every instrumented module records into.

@@ -35,8 +35,7 @@ __all__ = [
 #: ``2**31 - 1`` node/entry ceiling with an explicit OverflowError
 #: instead of silently wrapping.  The literal lives in
 #: ``repro.utils.dtypes`` so tracegen shares it without importing the
-#: overlay package; this Assign keeps the public name (and simlint's
-#: constant resolution) here.
+#: overlay package; this Assign keeps the public name here.
 INDEX_DTYPE = dtypes.INDEX_DTYPE
 
 
@@ -236,8 +235,9 @@ def edges_to_csr_stream(
                 fill += part
         # Once per *shard*, not per element: the sort is how the
         # bounded key buffer dedups and orders one shard's rows
-        # without ever materializing the global edge list.
-        keys = np.unique(buf[:fill])  # simlint: ignore[SIM016] per-shard dedup is the streaming design; a global mask would be O(n_nodes^2) bits
+        # without ever materializing the global edge list (a global
+        # seen-mask would be O(n_nodes^2) bits).
+        keys = np.unique(buf[:fill])
         degree_parts.append(np.bincount(keys // n_nodes, minlength=hi - lo))
         neighbor_parts.append((keys % n_nodes).astype(INDEX_DTYPE))
     offsets = np.zeros(n_nodes + 1, dtype=INDEX_DTYPE)

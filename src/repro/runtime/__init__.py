@@ -14,8 +14,8 @@ Three cooperating pieces, each usable on its own:
   repeated runs skip topology/trace regeneration.
 * :mod:`repro.runtime.sanitize` — the ``REPRO_SANITIZE=shm`` write
   sanitizer: read-only attached arrays, poison-on-release scratch
-  tracking, and per-task leak guards, so CI dynamically confirms the
-  read-only worker contract simlint checks statically.
+  tracking, and per-task leak guards, so a write to an attached view
+  or a stale scratch read faults in CI instead of corrupting results.
 
 See docs/performance.md for the architecture and invalidation rules.
 """

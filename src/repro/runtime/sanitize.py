@@ -1,14 +1,16 @@
 """Runtime write-sanitizer for the parallel boundary (``REPRO_SANITIZE``).
 
-simlint v4 (SIM018-SIM021) *statically* claims the worker boundary is
-race-free: workers treat attached shm/mmap segments as read-only, and
-scratch buffers never leak state across tasks.  This module makes the
-runtime *prove* it.  Two layers:
+The worker boundary's contract: workers treat attached shm/mmap
+segments as read-only, and scratch buffers never leak state across
+tasks.  This module enforces it at runtime: a write to an attached
+view raises where it happens, and a stale scratch read turns into
+loudly wrong values instead of a silently plausible result.  Two
+layers:
 
 * **Freezing** — :func:`freeze` marks an array read-only so numpy
   raises ``ValueError`` on any write; the shm/mmap attach paths call
-  it unconditionally (defense in depth), and under sanitize mode
-  :func:`freeze_artifact` extends the same guarantee to every array
+  it unconditionally (not only in sanitize mode), and in sanitize
+  mode :func:`freeze_artifact` extends the same guarantee to every array
   inside a cached artifact, including the small ones the blob store
   keeps inline in the skeleton pickle.
 * **Scratch tracking** — kernels allocate reusable paint buffers via

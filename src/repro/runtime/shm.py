@@ -42,7 +42,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Sequence, TypeVar, cast
+from typing import Callable, NoReturn, Sequence, TypeVar, cast
 
 import numpy as np
 
@@ -443,6 +443,14 @@ class _SharedArrayOwner:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    def __reduce__(self) -> NoReturn:
+        # An unpickled copy would be a second owner: dropping it in a
+        # worker runs close() there and unlinks the publisher's segments.
+        raise TypeError(
+            f"{type(self).__name__} owns its shm segments and cannot be "
+            "pickled; send its .spec and attach in the worker"
+        )
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

@@ -3,10 +3,9 @@
 ``INDEX_DTYPE`` is the element type for node / instance / term index
 arrays (CSR offsets and payloads).  It lives here — at the bottom of
 the import graph — so ``repro.tracegen`` can narrow its arrays without
-importing the overlay package (which itself imports tracegen) and so
-simlint's array inference can resolve the constant through a single
-import hop.  ``repro.overlay.topology`` re-exports it as the
-authoritative public name.
+importing the overlay package (which itself imports tracegen).
+``repro.overlay.topology`` re-exports it as the authoritative public
+name.
 
 int32 spans ±2.1e9: enough for every per-shard segment we build.  The
 builders guard their counts against the dtype bound explicitly and

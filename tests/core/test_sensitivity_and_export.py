@@ -17,22 +17,28 @@ from repro.tracegen.catalog import CatalogConfig
 from repro.tracegen.gnutella_trace import GnutellaTraceConfig
 
 
+def _sweep_config(n_workers: int = 1) -> MismatchSensitivityConfig:
+    return MismatchSensitivityConfig(
+        match_fractions=(0.05, 0.5, 1.0),
+        n_resolvability_samples=300,
+        catalog=CatalogConfig(
+            n_songs=20_000, n_artists=2_000, lexicon_size=12_000, seed=5
+        ),
+        trace=GnutellaTraceConfig(n_peers=400, mean_library_size=80.0, seed=5),
+        seed=5,
+        n_workers=n_workers,
+    )
+
+
 class TestSensitivity:
     @pytest.fixture(scope="class")
     def points(self):
-        return run_mismatch_sensitivity(
-            MismatchSensitivityConfig(
-                match_fractions=(0.05, 0.5, 1.0),
-                n_resolvability_samples=300,
-                catalog=CatalogConfig(
-                    n_songs=20_000, n_artists=2_000, lexicon_size=12_000, seed=5
-                ),
-                trace=GnutellaTraceConfig(
-                    n_peers=400, mean_library_size=80.0, seed=5
-                ),
-                seed=5,
-            )
-        )
+        return run_mismatch_sensitivity(_sweep_config())
+
+    def test_parallel_sweep_matches_serial(self, points):
+        # Each point is seed-pure, so a worker that wrote module state
+        # the parent never sees would show up as a mismatch here.
+        assert run_mismatch_sensitivity(_sweep_config(n_workers=2)) == points
 
     def test_similarity_tracks_match_fraction(self, points):
         sims = [p.query_file_similarity for p in points]

@@ -17,10 +17,12 @@ import pytest
 
 from repro.lint.cli import main
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.rules import rule_codes
 from repro.lint.sarif import SARIF_SCHEMA_URI, SARIF_VERSION, render_sarif, to_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINIMAL_CONFIG = Path(__file__).parent / "minimal.toml"
+DOCS = Path(__file__).parents[2] / "docs" / "static-analysis.md"
 
 # The subset of the SARIF 2.1.0 schema our output must satisfy,
 # expressed as a JSON Schema document (draft-4 style, as the spec's).
@@ -147,3 +149,11 @@ def test_rule_metadata_comes_from_registry() -> None:
     assert "rng" in rule["shortDescription"]["text"].lower() or "random" in (
         rule["shortDescription"]["text"].lower()
     )
+
+
+def test_every_rule_has_its_help_anchor() -> None:
+    # helpUri points at docs/static-analysis.md#simNNN; a missing
+    # anchor leaves the link in every code-scanning UI dangling.
+    text = DOCS.read_text(encoding="utf-8")
+    missing = [code for code in rule_codes() if f'id="{code.lower()}"' not in text]
+    assert missing == []

@@ -124,6 +124,13 @@ class TestProcessLocalRegistry:
     def test_metrics_returns_singleton(self):
         assert metrics() is metrics()
 
+    def test_registry_refuses_pickling(self, registry):
+        # A pickled copy in a worker would swallow every count it makes;
+        # workers ship snapshot deltas instead.
+        for candidate in (registry, metrics()):
+            with pytest.raises(TypeError, match="counter deltas"):
+                pickle.dumps(candidate)
+
     def test_as_dict_shape(self, registry):
         registry.inc("c", 2)
         registry.gauge("g", 1.5)

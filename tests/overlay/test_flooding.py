@@ -273,6 +273,12 @@ class TestDepthDtype:
         # np.where with a typed sentinel must not promote back to int64.
         assert entry.depth_at(2).dtype == DEPTH_DTYPE
 
+    def test_depth_dtype_is_pinned_to_int16(self):
+        from repro.overlay.flooding import DEPTH_DTYPE
+
+        # The nightly 1M-node RSS ceilings assume 2-byte depth entries.
+        assert DEPTH_DTYPE == np.int16
+
     def test_horizon_past_dtype_ceiling_raises(self, small_flat):
         with pytest.raises(OverflowError, match="int16"):
             flood_depths(small_flat, 0, 40_000)

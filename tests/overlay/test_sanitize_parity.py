@@ -1,10 +1,10 @@
-"""Sanitizer-on parity matrix (satellite of the simlint v4 PR).
+"""Sanitizer-on parity matrix.
 
-What the static rules claim (SIM019: consumers never write attached
-views; SIM020: scratch discipline holds), the runtime must confirm
-dynamically: with ``REPRO_SANITIZE=shm`` every attached array is frozen
-and released scratch is poisoned, so any latent write race faults
-instead of corrupting.  These tests run the flood and content paths
+Consumers never write attached views, and kernels keep scratch
+discipline; the runtime confirms both dynamically: with
+``REPRO_SANITIZE=shm`` every attached array is frozen and released
+scratch is poisoned, so any latent write race faults instead of
+corrupting.  These tests run the flood and content paths
 across shard-count x worker-count shapes with the sanitizer on and
 assert zero faults plus outputs bitwise-identical to the plain serial
 reference computed with the sanitizer off.

@@ -172,6 +172,10 @@ class TestIndexDtypeBounds:
         assert topo.offsets.dtype == topology_module.INDEX_DTYPE
         assert topo.neighbors.dtype == topology_module.INDEX_DTYPE
 
+    def test_index_dtype_is_pinned_to_int32(self):
+        # The nightly 1M-node RSS ceilings assume 4-byte CSR entries.
+        assert topology_module.INDEX_DTYPE == np.int32
+
     def test_too_many_entries_raises_with_counts(self, monkeypatch):
         monkeypatch.setattr(topology_module, "INDEX_DTYPE", np.dtype(np.int8))
         # A 40-node cycle: 40 undirected edges = 80 directed entries

@@ -1,8 +1,8 @@
 """Write-sanitizer behavior: freezing, scratch poisoning, task guards.
 
-The static rules (SIM019/SIM020) claim workers never write attached
-views and kernels keep scratch discipline; these tests prove the
-runtime enforcement layer that backs those claims.
+Workers must never write attached views, and kernels must keep
+scratch discipline.  No lint rule checks either: these tests prove the
+runtime layer that enforces both.
 """
 
 from __future__ import annotations
@@ -84,12 +84,24 @@ class TestFreeze:
         assert ragged.flags.writeable is True
 
     def test_attached_views_are_frozen_unconditionally(self, sanitize_off):
-        # Satellite 1: attach paths freeze with or without sanitize mode.
+        # Attach paths freeze with or without sanitize mode, so every
+        # in-place write shape raises at the write itself.
         topo = two_tier_gnutella(150, seed=3)
         with SharedTopology(topo) as share:
             attached = attach_topology(share.spec).flat()
             assert attached.neighbors.flags.writeable is False
             assert attached.offsets.flags.writeable is False
+            view = attached.neighbors
+            writes = (
+                lambda: view.__setitem__(0, -1),
+                lambda: view.fill(0),
+                lambda: view.sort(),
+                lambda: np.add(view, 1, out=view),
+                lambda: np.copyto(view, 0),
+            )
+            for write in writes:
+                with pytest.raises(ValueError):
+                    write()
 
 
 class TestScratch:

@@ -2,7 +2,8 @@
 
 Each owner's contract — round trip, cached attach, hashable and
 picklable spec, read-only views, close unlinks and evicts, idempotent
-close, ``pmap`` workers reading the segments — is checked at one shard
+close, an owner that refuses to pickle, ``pmap`` workers reading the
+segments — is checked at one shard
 (the default, read through flat views) and at three, by the same
 helpers: for :class:`SharedTopology` in the first three classes and
 for :class:`ShardedPostings` in the last.  Publishing pre-partitioned
@@ -11,6 +12,7 @@ shard sets is covered in ``test_shards.py``.
 
 from __future__ import annotations
 
+import os
 import pickle
 from functools import partial
 
@@ -97,7 +99,7 @@ def _check_views_are_read_only(artifact, source) -> None:
         with owner(source, n_shards=n_shards) as share:
             for array in _arrays(attach(share.spec)):
                 with pytest.raises((ValueError, RuntimeError)):
-                    array[0] = -1  # simlint: ignore[SIM019] deliberate write proving attached views reject mutation
+                    array[0] = -1
 
 
 def _check_close_unlinks_and_evicts_cache(artifact, source) -> None:
@@ -119,6 +121,19 @@ def _check_close_is_idempotent(artifact, source) -> None:
         share = owner(source, n_shards=n_shards)
         share.close()
         share.close()
+
+
+def _check_owner_refuses_pickling(artifact, source) -> None:
+    owner, _, _, _ = artifact
+    for n_shards in SHARD_COUNTS:
+        with owner(source, n_shards=n_shards) as share:
+            with pytest.raises(TypeError, match=r"send its \.spec"):
+                pickle.dumps(share)
+
+
+def _owner_task(item: int, rng: np.random.Generator, *, owner=None) -> int:
+    """Worker whose partial carries an owner handle instead of its spec."""
+    return item
 
 
 def _remote_degree_sum(item: int, rng: np.random.Generator, *, spec=None) -> int:
@@ -177,6 +192,9 @@ class TestLifecycle:
     def test_close_is_idempotent(self, topo):
         _check_close_is_idempotent(TOPOLOGY, topo)
 
+    def test_owner_refuses_pickling(self, topo):
+        _check_owner_refuses_pickling(TOPOLOGY, topo)
+
 
 class TestCrossProcess:
     def test_workers_read_shared_topology(self):
@@ -187,6 +205,19 @@ class TestCrossProcess:
                 task = partial(_remote_degree_sum, spec=share.spec)
                 results = pmap(task, [0, 1, 2, 3], seed=0, key="shm", n_workers=2)
             assert results == [expected + i for i in range(4)]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="POSIX shm filesystem required"
+    )
+    def test_shipping_the_owner_raises_and_keeps_its_segments(self, topo):
+        # An unpickled owner copy would unlink the segments when a
+        # worker dropped it, and the pool would die with them.
+        with SharedTopology(topo) as share:
+            paths = ["/dev/shm/" + array.name for array in share.spec.arrays()]
+            task = partial(_owner_task, owner=share)
+            with pytest.raises(TypeError, match="cannot be pickled"):
+                pmap(task, [0, 1, 2, 3], seed=0, key="shm-owner", n_workers=2)
+            assert all(os.path.exists(path) for path in paths)
 
 
 class TestSharedPostings:
@@ -209,6 +240,9 @@ class TestSharedPostings:
 
     def test_close_is_idempotent(self, small_content):
         _check_close_is_idempotent(POSTINGS, small_content)
+
+    def test_owner_refuses_pickling(self, small_content):
+        _check_owner_refuses_pickling(POSTINGS, small_content)
 
     def test_intersections_match_local_index(self, small_content):
         keys = [(0,), (0, 1), (3, 5)]
