@@ -4,15 +4,14 @@ The 40k-node benches answer "did the kernels regress"; this one
 answers "does the million-node path still work, and at what cost".  It
 exercises every layer the scale work added: streaming topology
 generation (``edge_block``), the zero-copy mmap artifact cache
-(second topology build must be sub-second), and the sharded flood
-driver, recording wall time, ``peak_rss_bytes`` and nodes/sec/worker
-into ``BENCH_perf.json`` via the shared conftest hook.
+(second topology build must be sub-second), and the flat flood
+kernel, recording wall time, ``peak_rss_bytes`` and nodes/sec into
+``BENCH_perf.json`` via the shared conftest hook.
 
 Peak RSS is checked against a per-node byte figure derived from the
-array dtypes (CSR + depth map, plus the sharded copy of the CSR —
-postings are not built here) times a slack factor for BFS scratch and
-the interpreter; a failure means the measured footprint regressed past
-what those dtypes promise.
+array dtypes (CSR + depth map — postings are not built here) times a
+slack factor for BFS scratch and the interpreter; a failure means the
+measured footprint regressed past what those dtypes promise.
 
 Gated by ``REPRO_SCALE_BENCH=1`` (set by the nightly workflow): a
 million-node run has no place in the per-PR test path.
@@ -31,7 +30,6 @@ from conftest import peak_rss_bytes
 from repro.core.experiment import Fig8TopologyConfig, build_fig8_topology
 from repro.core.flood_sim import FloodSimConfig, run_fig8
 from repro.overlay.flooding import flood_depths
-from repro.runtime.shards import ShardedFloodRunner
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_SCALE_BENCH") != "1",
@@ -41,13 +39,10 @@ pytestmark = pytest.mark.skipif(
 N_NODES = 1_000_000
 #: Streaming block size: ~2 MiB of edge draw per block.
 EDGE_BLOCK = 1 << 17
-N_SHARDS = 8
 #: Bytes per node, from the dtypes at the 6.6 mean directed degree of
 #: the Fig. 8 topology.  CSR + depth map: int32 offsets (4) + int32
 #: neighbors (6.6 x 4 = 26.4) + bool forwards (1) + int16 depth (2).
-#: Sharded copy of the CSR: int32 offsets (4) + int32 neighbors (26.4).
 CSR_DEPTH_BYTES_PER_NODE = 33.4
-SHARDING_BYTES_PER_NODE = 30.4
 #: Measured RSS may exceed the per-node figure by this factor (BFS
 #: scratch masks, the frontier, interpreter overhead, and the
 #: transient per-shard build buffers are not in it).
@@ -59,9 +54,8 @@ SCALE_CONFIG = Fig8TopologyConfig(n_nodes=N_NODES, edge_block=EDGE_BLOCK)
 
 
 def _budgeted_rss_limit() -> int:
-    """Byte ceiling from the per-node figures (728,270,912 B at 1M nodes)."""
-    per_node = CSR_DEPTH_BYTES_PER_NODE + SHARDING_BYTES_PER_NODE
-    return int(RSS_BASELINE_BYTES + RSS_SLACK * per_node * N_NODES)
+    """Byte ceiling from the per-node figure (637,070,912 B at 1M nodes)."""
+    return int(RSS_BASELINE_BYTES + RSS_SLACK * CSR_DEPTH_BYTES_PER_NODE * N_NODES)
 
 
 @pytest.fixture(scope="module")
@@ -105,49 +99,32 @@ def test_scale_mmap_cache_reload(benchmark, scale_topology):
     assert elapsed < 1.0, f"mmap cache reload took {elapsed:.2f}s (budget: 1s)"
 
 
-def test_scale_sharded_flood(benchmark, scale_topology):
-    """Sharded full-depth floods at 1M nodes: nodes/sec/worker."""
-    n_workers = min(N_SHARDS, os.cpu_count() or 1)
-    sources = np.arange(16, dtype=np.int64) * 61_441  # spread over shards
+def test_scale_flat_flood(benchmark, scale_topology):
+    """Full-depth floods at 1M nodes through the flat kernel: nodes/sec."""
+    sources = np.arange(16, dtype=np.int64) * 61_441  # spread over the id range
 
-    with ShardedFloodRunner(
-        scale_topology, n_shards=N_SHARDS, n_workers=n_workers
-    ) as runner:
+    def run():
+        reached = 0
+        for source in sources:
+            depth, _ = flood_depths(scale_topology, int(source), 7)
+            reached += int((depth >= 0).sum())
+        return reached
 
-        def run():
-            reached = 0
-            for source in sources:
-                depth, _ = runner.flood_depths(int(source), 7)
-                reached += int((depth >= 0).sum())
-            return reached
+    start = time.perf_counter()
+    total_reached = benchmark.pedantic(run, rounds=1, iterations=1)
+    elapsed = time.perf_counter() - start
 
-        start = time.perf_counter()
-        total_reached = benchmark.pedantic(run, rounds=1, iterations=1)
-        elapsed = time.perf_counter() - start
-
-    nodes_per_sec = total_reached / elapsed if elapsed > 0 else 0.0
-    benchmark.extra_info["n_shards"] = N_SHARDS
-    benchmark.extra_info["n_workers"] = runner.n_workers
     benchmark.extra_info["floods"] = int(sources.size)
     benchmark.extra_info["nodes_reached"] = total_reached
-    benchmark.extra_info["nodes_per_sec"] = nodes_per_sec
-    benchmark.extra_info["nodes_per_sec_per_worker"] = (
-        nodes_per_sec / max(1, runner.n_workers)
+    benchmark.extra_info["nodes_per_sec"] = (
+        total_reached / elapsed if elapsed > 0 else 0.0
     )
     benchmark.extra_info["peak_rss_bytes"] = peak_rss_bytes()
     assert total_reached > sources.size * N_NODES * 0.5  # floods actually spread
 
-    # One sharded flood must agree with the single-segment kernel even
-    # at this scale (the 40k identity tests prove the math; this
-    # catches scale-only failures like dtype overflow).
-    ref_depth, ref_messages = flood_depths(scale_topology, 0, 5)
-    with ShardedFloodRunner(scale_topology, n_shards=N_SHARDS) as serial:
-        depth, messages = serial.flood_depths(0, 5)
-    assert np.array_equal(depth, ref_depth) and messages == ref_messages
-
 
 def test_scale_fig8_run(benchmark):
-    """A reduced Fig. 8 sweep at 1M nodes through the sharded driver."""
+    """A reduced Fig. 8 sweep at 1M nodes."""
 
     def run():
         return run_fig8(
@@ -156,7 +133,6 @@ def test_scale_fig8_run(benchmark):
                 ttls=(1, 2, 3, 4, 5),
                 n_eval_objects=8,
                 uniform_replicas=(9,),
-                n_shards=N_SHARDS,
             )
         )
 

@@ -109,10 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8642, help="0 picks a free port"
     )
-    serve.add_argument("--shards", type=int, default=1)
     serve.add_argument(
-        "--bfs-workers", type=int, default=1,
-        help="worker processes of the sharded BFS runner (needs --shards > 1)",
+        "--shards", type=int, default=1,
+        help="term-range shards of the published posting lists",
     )
     serve.add_argument(
         "--engine-workers", type=int, default=1,
@@ -593,7 +592,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             n_nodes=args.nodes,
             seed=args.seed,
             n_shards=args.shards,
-            bfs_workers=args.bfs_workers,
             engine_workers=args.engine_workers,
         )
         policy = ServicePolicy(

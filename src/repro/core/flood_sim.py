@@ -27,8 +27,7 @@ from repro.obs import span
 from repro.overlay.flooding import flood_depths
 from repro.overlay.topology import Topology
 from repro.runtime.cache import cached_call, config_digest
-from repro.runtime.parallel import pmap
-from repro.runtime.shards import ShardedFloodRunner
+from repro.runtime.parallel import pmap, resolve_workers
 from repro.runtime.shm import SharedTopology, SharedTopologySpec, attach_topology
 from repro.utils.rng import derive
 
@@ -124,13 +123,9 @@ class FloodSimConfig:
     """Parameters of a Fig. 8 run.
 
     ``n_workers`` controls the process-pool fan-out of the per-object
-    floods (1 = serial, 0 = one per CPU).  ``n_shards > 1`` partitions
-    the topology into that many node-range shards and runs every BFS
-    through the shard-parallel driver (``n_workers`` then sizes the
-    per-level expansion pool instead of a per-object pool).  Both are
-    execution knobs only: every worker and shard count produces
-    bitwise-identical curves, and both are excluded from the
-    artifact-cache key.
+    floods (1 = serial, 0 = one per CPU).  It is an execution knob
+    only: every worker count produces bitwise-identical curves, and it
+    is excluded from the artifact-cache key.
     """
 
     topology: Fig8TopologyConfig = field(default_factory=Fig8TopologyConfig)
@@ -140,7 +135,6 @@ class FloodSimConfig:
     zipf: PlacementSpec = field(default_factory=PlacementSpec)
     seed: int = 0
     n_workers: int = 1
-    n_shards: int = 1
 
 
 @dataclass(frozen=True)
@@ -166,17 +160,17 @@ class FloodSimResult:
         raise KeyError(label)
 
 
-def _profile_from_depth(
-    depth: np.ndarray, forwards: np.ndarray, replicas: np.ndarray, max_ttl: int
+def _success_profile(
+    topology: Topology, replicas: np.ndarray, max_ttl: int
 ) -> np.ndarray:
-    """Success profile given a replica-set BFS depth map.
+    """P(flood from a random ultrapeer source finds a replica) per TTL.
 
-    A source succeeds at TTL ``t`` when its depth is within ``t``.
-    Sources already holding a replica are excluded (they would not
-    search for it).  Shared by the flat and sharded paths:
-    equal depth maps give equal profiles.
+    One multi-source BFS from the replica set: a source succeeds at
+    TTL ``t`` when its depth is within ``t``.  Sources already holding
+    a replica are excluded (they would not search for it).
     """
-    eligible = forwards.copy()
+    depth, _ = flood_depths(topology, replicas, max_ttl)
+    eligible = topology.forwards.copy()
     eligible[replicas] = False
     n_sources = int(eligible.sum())
     if n_sources == 0:
@@ -184,27 +178,6 @@ def _profile_from_depth(
     d = depth[eligible]
     found_at = np.bincount(d[d >= 1], minlength=max_ttl + 1)
     return np.cumsum(found_at)[1:] / n_sources  # index t-1 => TTL t
-
-
-def _success_profile(
-    topology: Topology, replicas: np.ndarray, max_ttl: int
-) -> np.ndarray:
-    """P(flood from a random ultrapeer source finds a replica) per TTL.
-
-    One multi-source BFS from the replica set.
-    """
-    depth, _ = flood_depths(topology, replicas, max_ttl)
-    return _profile_from_depth(depth, topology.forwards, replicas, max_ttl)
-
-
-def _success_profile_sharded(
-    runner: ShardedFloodRunner, replicas: np.ndarray, max_ttl: int
-) -> np.ndarray:
-    """:func:`_success_profile` through the shard-parallel driver."""
-    depth, _ = runner.flood_depths(replicas, max_ttl)
-    return _profile_from_depth(
-        depth, runner.shard_set.forwards, replicas, max_ttl
-    )
 
 
 def _sample_objects(
@@ -232,13 +205,12 @@ def _profile_task(
 ) -> np.ndarray:
     """Worker task: one multi-source BFS against the shared topology.
 
-    The one-shard attachment is read through its flat view, so the task
-    runs the flat kernel.  The flood is a pure function of the
-    (pre-drawn) replica set — the replica placement randomness stays on
-    the coordinator's stream, which is what makes serial and parallel
-    runs bitwise-identical — so the task runs with ``needs_rng=False``.
+    The flood is a pure function of the (pre-drawn) replica set — the
+    replica placement randomness stays on the coordinator's stream,
+    which is what makes serial and parallel runs bitwise-identical — so
+    the task runs with ``needs_rng=False``.
     """
-    return _success_profile(attach_topology(spec).flat(), replicas, max_ttl)
+    return _success_profile(attach_topology(spec), replicas, max_ttl)
 
 
 def run_flood_success(
@@ -250,19 +222,17 @@ def run_flood_success(
     seed: int = 0,
     n_workers: int = 1,
     shared: SharedTopology | None = None,
-    runner: ShardedFloodRunner | None = None,
 ) -> FloodSimCurve:
     """Estimate the success-rate curve for one placement spec.
 
     All placement randomness is drawn up front on a single stream
     derived from ``seed`` (exactly the stream the serial implementation
-    consumed); with ``n_workers > 1`` only the deterministic per-object
-    floods fan out, reading the topology from shared memory.  Pass a
-    pre-published ``shared`` handle to amortize the segment copy across
-    several curves on the same topology, or a sharded ``runner`` to
-    run each replica-set BFS shard-parallel instead (the per-object
-    fan-out is then skipped — parallelism lives inside each flood).
+    consumed); with ``n_workers > 1`` (or 0, one per CPU) only the
+    deterministic per-object floods fan out, reading the topology from
+    shared memory.  Pass a pre-published ``shared`` handle to amortize
+    the segment copy across several curves on the same topology.
     """
+    workers = resolve_workers(n_workers)
     rng = derive(seed, "floodsim", spec.label())
     max_ttl = int(max(ttls))
     n = topology.n_nodes
@@ -273,11 +243,7 @@ def run_flood_success(
         objects = _sample_objects(spec, counts, n_eval_objects, rng)
         sizes = counts[objects]
     replica_sets = [rng.choice(n, size=min(int(s), n), replace=False) for s in sizes]
-    if runner is not None:
-        profiles = [
-            _success_profile_sharded(runner, r, max_ttl) for r in replica_sets
-        ]
-    elif n_workers <= 1 or len(replica_sets) <= 1:
+    if workers == 1 or len(replica_sets) <= 1:
         profiles = [_success_profile(topology, r, max_ttl) for r in replica_sets]
     else:
         share = SharedTopology(topology) if shared is None else shared
@@ -288,7 +254,7 @@ def run_flood_success(
                 replica_sets,
                 seed=seed,
                 key=f"floodsim-bfs/{spec.label()}",
-                n_workers=n_workers,
+                n_workers=workers,
                 needs_rng=False,
             )
         finally:
@@ -307,14 +273,13 @@ _FIG8_CACHE_VERSION = 1
 
 
 def _run_fig8_uncached(cfg: FloodSimConfig) -> FloodSimResult:
+    workers = resolve_workers(cfg.n_workers)
     topology = build_fig8_topology(cfg.topology)
     specs = [cfg.zipf] + [
         PlacementSpec(kind="uniform", n_replicas=r) for r in cfg.uniform_replicas
     ]
 
-    def curves_with(
-        shared: SharedTopology | None, runner: ShardedFloodRunner | None
-    ) -> list[FloodSimCurve]:
+    def curves_with(shared: SharedTopology | None) -> list[FloodSimCurve]:
         return [
             run_flood_success(
                 topology,
@@ -322,39 +287,29 @@ def _run_fig8_uncached(cfg: FloodSimConfig) -> FloodSimResult:
                 ttls=cfg.ttls,
                 n_eval_objects=cfg.n_eval_objects,
                 seed=cfg.seed,
-                n_workers=cfg.n_workers,
+                n_workers=workers,
                 shared=shared,
-                runner=runner,
             )
             for spec in specs
         ]
 
-    if cfg.n_shards > 1:
-        # Shard the topology once; every curve's replica-set BFS runs
-        # through the shard-parallel driver (workers expand shard
-        # frontiers concurrently when n_workers > 1).
-        with ShardedFloodRunner(
-            topology, n_shards=cfg.n_shards, n_workers=cfg.n_workers
-        ) as sharded:
-            return FloodSimResult(curves=curves_with(None, sharded))
-    if cfg.n_workers == 1:
-        return FloodSimResult(curves=curves_with(None, None))
+    if workers == 1:
+        return FloodSimResult(curves=curves_with(None))
     # Publish the topology once; all six curves' worker floods attach
     # to the same segments.
     with SharedTopology(topology) as share:
-        return FloodSimResult(curves=curves_with(share, None))
+        return FloodSimResult(curves=curves_with(share))
 
 
 def run_fig8(config: FloodSimConfig | None = None) -> FloodSimResult:
     """Regenerate every curve of the paper's Fig. 8.
 
     The result is served from the artifact cache when an identical
-    config (ignoring the ``n_workers``/``n_shards`` execution knobs)
-    was computed before; set ``REPRO_CACHE=off`` to force
-    recomputation.
+    config (ignoring the ``n_workers`` execution knob) was computed
+    before; set ``REPRO_CACHE=off`` to force recomputation.
     """
     cfg = config or FloodSimConfig()
-    digest = config_digest(cfg, exclude=("n_workers", "n_shards"))
+    digest = config_digest(cfg, exclude=("n_workers",))
     with span("fig8.run", n_eval_objects=cfg.n_eval_objects, workers=cfg.n_workers):
         return cached_call(
             "fig8-result", _FIG8_CACHE_VERSION, digest, lambda: _run_fig8_uncached(cfg)

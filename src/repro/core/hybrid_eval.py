@@ -25,7 +25,7 @@ from repro.dht.chord import ChordRing
 from repro.overlay.flooding import FloodDepthCache, flood_depths
 from repro.overlay.topology import Topology
 from repro.hybrid.cost_model import predicted_uniform_success
-from repro.runtime.parallel import pmap
+from repro.runtime.parallel import pmap, resolve_workers
 from repro.runtime.shm import SharedTopology, SharedTopologySpec, attach_topology
 from repro.utils.rng import derive
 
@@ -100,17 +100,18 @@ def _probe_task(
     ttl: int,
 ) -> tuple[float, float]:
     """Worker task: one deterministic probe flood (``rng`` unused)."""
-    return _probe_fallback(attach_topology(spec).flat(), source, ttl)
+    return _probe_fallback(attach_topology(spec), source, ttl)
 
 
 def evaluate_hybrid(config: HybridEvalConfig | None = None) -> HybridEvalResult:
     """Measure the hybrid-vs-DHT comparison on the calibrated simulator.
 
-    ``config.n_workers > 1`` fans the probe floods and the per-object
-    success floods out over a process pool; every worker count yields
-    the same result.
+    ``config.n_workers > 1`` (or 0, one per CPU) fans the probe floods
+    and the per-object success floods out over a process pool; every
+    worker count yields the same result.
     """
     cfg = config or HybridEvalConfig()
+    workers = resolve_workers(cfg.n_workers)
     topology = build_fig8_topology(cfg.topology)
     rng = derive(cfg.seed, "hybrid-eval")
 
@@ -118,7 +119,7 @@ def evaluate_hybrid(config: HybridEvalConfig | None = None) -> HybridEvalResult:
     forwarding = np.flatnonzero(topology.forwards)
     sources = forwarding[rng.integers(0, forwarding.size, size=cfg.n_flood_probes)]
     source_list = [int(s) for s in sources]
-    if cfg.n_workers == 1:
+    if workers == 1:
         # Serial path: probes share one BFS cache (repeated sources
         # flood once), with results identical to _probe_fallback.
         cache = FloodDepthCache(topology, max_entries=max(1, len(source_list)))
@@ -139,7 +140,7 @@ def evaluate_hybrid(config: HybridEvalConfig | None = None) -> HybridEvalResult:
                 source_list,
                 seed=cfg.seed,
                 key="hybrid-probes",
-                n_workers=cfg.n_workers,
+                n_workers=workers,
             )
     reached = np.asarray([p[0] for p in probes])
     messages = np.asarray([p[1] for p in probes])
@@ -151,7 +152,7 @@ def evaluate_hybrid(config: HybridEvalConfig | None = None) -> HybridEvalResult:
         ttls=(cfg.flood_ttl,),
         n_eval_objects=cfg.n_eval_objects,
         seed=cfg.seed,
-        n_workers=cfg.n_workers,
+        n_workers=workers,
     )
     flood_success = float(curve.success[0])
 

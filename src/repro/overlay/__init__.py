@@ -32,21 +32,12 @@ from repro.overlay.gia import (
 )
 from repro.overlay.flooding import (
     DepthEntry,
-    DepthProvider,
     FloodDepthCache,
     FloodResult,
     flood,
     flood_depths,
     flood_depths_batch,
     reach_fractions,
-)
-from repro.overlay.sharding import (
-    ShardSet,
-    TopologyShard,
-    expand_shard,
-    flood_depths_sharded,
-    partition_topology,
-    sharded_bfs_entry,
 )
 from repro.overlay.messages import Guid, QueryHit, QueryMessage, guid_factory
 from repro.overlay.network import SearchOutcome, UnstructuredNetwork
@@ -138,19 +129,12 @@ __all__ = [
     "allocate_replicas",
     "expected_search_size",
     "DepthEntry",
-    "DepthProvider",
     "FloodDepthCache",
     "FloodResult",
     "flood",
     "flood_depths",
     "flood_depths_batch",
     "reach_fractions",
-    "ShardSet",
-    "TopologyShard",
-    "expand_shard",
-    "flood_depths_sharded",
-    "partition_topology",
-    "sharded_bfs_entry",
     "Guid",
     "QueryHit",
     "QueryMessage",

@@ -40,7 +40,7 @@ from repro.overlay.content import (
     SharedContentIndex,
     intersect_postings_batch,
 )
-from repro.overlay.flooding import DEPTH_DTYPE, DepthProvider, FloodDepthCache
+from repro.overlay.flooding import DEPTH_DTYPE, FloodDepthCache
 from repro.overlay.topology import Topology
 
 __all__ = ["BatchOutcome", "BatchQueryEngine"]
@@ -207,14 +207,13 @@ def _chunk_task(
 ) -> BatchOutcome:
     """Worker task: evaluate one contiguous slice of the batch.
 
-    Attaches the shared one-shard topology and the posting shards,
-    pre-intersects the chunk's distinct keys in one batch-kernel pass,
-    then runs the same pure core as the serial path with a worker-local
-    flood cache.  One-shard attachments are read through their flat
-    views, so the flat kernels run unchanged; the matches are
-    task-local, so no cache outlives the mapping they slice.  Flood
-    evaluation is deterministic, so the task runs with
-    ``needs_rng=False``.
+    Attaches the shared topology and the posting shards, pre-intersects
+    the chunk's distinct keys in one batch-kernel pass, then runs the
+    same pure core as the serial path with a worker-local flood cache.
+    A one-shard posting attachment is read through its flat view, so
+    the flat kernels run unchanged; the matches are task-local, so no
+    cache outlives the mapping they slice.  Flood evaluation is
+    deterministic, so the task runs with ``needs_rng=False``.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
     from repro.runtime.shm import attach_postings, attach_topology
@@ -224,7 +223,7 @@ def _chunk_task(
     postings: PostingsProvider = shards.flat() if shards.n_shards == 1 else shards
     cache = _WORKER_CACHES.get(topo_spec)
     if cache is None:
-        cache = FloodDepthCache(attach_topology(topo_spec).flat())  # type: ignore[arg-type]
+        cache = FloodDepthCache(attach_topology(topo_spec))  # type: ignore[arg-type]
         _WORKER_CACHES[topo_spec] = cache
         if len(_WORKER_CACHES) > _WORKER_CACHE_MAX:
             _WORKER_CACHES.popitem(last=False)
@@ -264,7 +263,6 @@ class BatchQueryEngine:
         content: SharedContentIndex,
         *,
         flood_cache_entries: int = 256,
-        depth_provider: DepthProvider | None = None,
         postings: PostingsProvider | None = None,
         topo_spec: object | None = None,
     ) -> None:
@@ -284,11 +282,11 @@ class BatchQueryEngine:
             )
         self.topology = topology
         self.content = content
-        # Spec of an already-published one-shard SharedTopology wrapping
-        # the same bytes as ``topology``.  A resident process (the
-        # serving loop) publishes once at startup and passes the spec
-        # here, so the fan-out path attaches instead of re-exporting the
-        # CSR arrays on every batch.  The caller keeps the owner alive for the
+        # Spec of an already-published SharedTopology wrapping the same
+        # bytes as ``topology``.  A resident process (the serving loop)
+        # publishes once at startup and passes the spec here, so the
+        # fan-out path attaches instead of re-exporting the CSR arrays
+        # on every batch.  The caller keeps the owner alive for the
         # engine's lifetime.
         self.topo_spec = topo_spec
         # Optional posting-list provider override (e.g. an attached
@@ -296,16 +294,8 @@ class BatchQueryEngine:
         # it, and the fan-out path reuses its already-published shm
         # segments instead of re-exporting the dense arrays.
         self.postings = postings
-        # A depth provider (e.g. a ShardedFloodRunner) reroutes the
-        # cache's BFS through the shard-parallel driver; outcomes stay
-        # bitwise identical, so the serial evaluation path below needs
-        # no other change.  The chunk fan-out path keeps worker-local
-        # caches over a one-shard topology — at the scales where
-        # sharding matters, the engine runs serial-with-sharded-BFS.
         self.flood_cache = FloodDepthCache(
-            topology,
-            max_entries=flood_cache_entries,
-            provider=depth_provider,
+            topology, max_entries=flood_cache_entries
         )
 
     def evaluate(

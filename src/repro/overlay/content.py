@@ -26,10 +26,9 @@ Posting storage is pluggable behind :class:`PostingsProvider`:
 :class:`DensePostings` is the flat CSR view every index
 carries; :func:`partition_postings` splits the term-id space into
 contiguous ranges (:class:`PostingShardSet`) with re-based
-``INDEX_DTYPE`` offsets, mirroring ``overlay.sharding`` for
-topologies, so ``runtime.shm`` can publish each segment to shared
-memory on its own.  Results are bitwise-identical for every provider
-and shard count.
+``INDEX_DTYPE`` offsets, so ``runtime.shm`` can publish each segment
+to shared memory on its own.  Results are bitwise-identical for every
+provider and shard count.
 """
 
 from __future__ import annotations
@@ -255,12 +254,12 @@ def partition_postings(
 ) -> PostingShardSet:
     """Split a posting index into contiguous term-range shards.
 
-    Mirrors :func:`repro.overlay.sharding.partition_topology`: term ids
-    are cut into ``min(n_shards, n_terms)`` near-equal contiguous
-    ranges, each shard's offsets re-based to its own segment and
-    narrowed to ``INDEX_DTYPE`` behind an explicit ``OverflowError``
-    guard.  Shard payloads are views into the source arrays — the split
-    allocates only the small re-based offset arrays.
+    Term ids are cut into ``min(n_shards, n_terms)`` near-equal
+    contiguous ranges (:func:`~repro.overlay.topology.shard_bounds`),
+    each shard's offsets re-based to its own segment and narrowed to
+    ``INDEX_DTYPE`` behind an explicit ``OverflowError`` guard.  Shard
+    payloads are views into the source arrays — the split allocates
+    only the small re-based offset arrays.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be positive, got {n_shards}")

@@ -19,7 +19,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from repro.utils.stats import ragged_arange
 __all__ = [
     "DEPTH_DTYPE",
     "DepthEntry",
-    "DepthProvider",
     "FloodDepthCache",
     "FloodResult",
     "flood",
@@ -212,19 +210,6 @@ class DepthEntry:
         )
 
 
-class DepthProvider(Protocol):
-    """Anything that can compute one source's full-horizon BFS entry.
-
-    :class:`~repro.runtime.shards.ShardedFloodRunner` satisfies this,
-    which is how the depth cache (and everything built on it) runs its
-    BFS shard-parallel without the overlay layer importing the
-    runtime.  Implementations must be field-for-field equal to
-    ``FloodDepthCache._bfs`` for the cache's slicing contract to hold.
-    """
-
-    def bfs_entry(self, source: int, max_depth: int) -> "DepthEntry": ...
-
-
 class FloodDepthCache:
     """Bounded per-source cache of lossless flood depth maps.
 
@@ -238,36 +223,24 @@ class FloodDepthCache:
     beyond ``max_entries``; a request deeper than a stored horizon
     recomputes that source at the deeper horizon.
 
-    A ``provider`` (e.g. a sharded runner) replaces the in-process BFS
-    as the entry source; ``topology`` may then be omitted.  Only
-    deterministic (lossless) floods are cacheable; ``p_loss`` floods
-    must keep using :func:`flood_depths`.
+    Only deterministic (lossless) floods are cacheable; ``p_loss``
+    floods must keep using :func:`flood_depths`.
     """
 
-    def __init__(
-        self,
-        topology: Topology | None = None,
-        *,
-        max_entries: int = 256,
-        provider: DepthProvider | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology, *, max_entries: int = 256) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        if topology is None and provider is None:
-            raise ValueError("need a topology or a depth provider")
         self.topology = topology
-        self.provider = provider
         self.max_entries = max_entries
         self._entries: "OrderedDict[int, DepthEntry]" = OrderedDict()
-        if topology is not None and provider is None:
-            n = topology.n_nodes
-            # Reusable per-BFS scratch (reset costs a memset, not an
-            # alloc).  Guarded by _scratch_lock: a second concurrent BFS
-            # would write into the same visited/frontier masks and
-            # silently corrupt both depth maps, so contended calls fall
-            # back to fresh allocations instead of sharing.
-            self._visited = np.zeros(n, dtype=bool)
-            self._level_mask = np.zeros(n, dtype=bool)
+        n = topology.n_nodes
+        # Reusable per-BFS scratch (reset costs a memset, not an
+        # alloc).  Guarded by _scratch_lock: a second concurrent BFS
+        # would write into the same visited/frontier masks and
+        # silently corrupt both depth maps, so contended calls fall
+        # back to fresh allocations instead of sharing.
+        self._visited = np.zeros(n, dtype=bool)
+        self._level_mask = np.zeros(n, dtype=bool)
         self._scratch_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -302,9 +275,6 @@ class FloodDepthCache:
         to ``flood_depths(topology, source, t)`` for every
         ``t <= max_depth``.
         """
-        if self.provider is not None:
-            return self.provider.bfs_entry(source, max_depth)
-        assert self.topology is not None  # enforced in __init__
         if self._scratch_lock.acquire(blocking=False):
             try:
                 return self._bfs_with(
@@ -331,7 +301,6 @@ class FloodDepthCache:
         """The BFS body, writing into caller-owned scratch masks."""
         metrics().inc("flood.cache.bfs")
         topology = self.topology
-        assert topology is not None  # provider-less caches always have one
         n = topology.n_nodes
         depth = np.full(n, -1, dtype=DEPTH_DTYPE)
         visited[:] = False
@@ -392,7 +361,6 @@ def flood_depths_batch(
     max_depth: int,
     *,
     cache: FloodDepthCache | None = None,
-    provider: DepthProvider | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Depth maps and message counts of many floods in one call.
 
@@ -401,8 +369,7 @@ def flood_depths_batch(
     ``messages[i]`` its message count — bitwise identical to the
     per-source kernel, but repeated sources BFS once, and all floods
     share one scratch set.  Pass an existing ``cache`` to also reuse
-    BFS results across calls (e.g. expanding-ring schedules), or a
-    ``provider`` (e.g. a sharded runner) to run the BFS elsewhere.
+    BFS results across calls (e.g. expanding-ring schedules).
 
     The row-per-source depth matrix costs
     ``n_sources * n_nodes * 2`` bytes; workload-scale consumers must
@@ -412,9 +379,7 @@ def flood_depths_batch(
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if cache is None:
         cache = FloodDepthCache(
-            topology,
-            max_entries=max(1, np.unique(sources).size),
-            provider=provider,
+            topology, max_entries=max(1, np.unique(sources).size)
         )
     depth = np.empty((sources.size, topology.n_nodes), dtype=DEPTH_DTYPE)
     messages = np.empty(sources.size, dtype=np.int64)
@@ -456,15 +421,14 @@ def _reach_row(topology: Topology, source: int, ttls: np.ndarray, max_ttl: int) 
 def _reach_row_task(source: int, *, spec, ttls, max_ttl):
     """Worker task: attach the shared topology, compute one row.
 
-    The one-shard attachment is read through its flat view, so the
-    row runs the flat kernel.  A lossless flood is a pure function of its source, so the task is
+    A lossless flood is a pure function of its source, so the task is
     registered with ``needs_rng=False`` — no per-row seed derivation,
     and no unused ``rng`` parameter inviting misuse.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
     from repro.runtime.shm import attach_topology
 
-    return _reach_row(attach_topology(spec).flat(), int(source), ttls, max_ttl)
+    return _reach_row(attach_topology(spec), int(source), ttls, max_ttl)
 
 
 def reach_fractions(
@@ -480,20 +444,23 @@ def reach_fractions(
     the number of nodes at depth <= ``t``).  This regenerates the
     paper's §V reach table (0.05% @ TTL 1 ... 82.95% @ TTL 5).
 
-    ``n_workers > 1`` fans the per-source floods out over a process
-    pool (the topology travels via shared memory); the result is
-    bitwise-identical to the serial run because each flood is a pure
-    function of its source.
+    ``n_workers > 1`` (or 0, one per CPU) fans the per-source floods
+    out over a process pool (the topology travels via shared memory);
+    the result is bitwise-identical to the serial run because each
+    flood is a pure function of its source.
     """
+    # Deferred import: repro.runtime sits above the overlay layer.
+    from repro.runtime.parallel import pmap, resolve_workers
+
+    workers = resolve_workers(n_workers)
     ttls = np.asarray(ttls, dtype=np.int64)
     if ttls.size == 0:
         raise ValueError("need at least one TTL")
     max_ttl = int(ttls.max())
     source_list = [int(s) for s in np.asarray(sources, dtype=np.int64)]
-    if n_workers <= 1 or len(source_list) <= 1:
+    if workers == 1 or len(source_list) <= 1:
         rows = [_reach_row(topology, s, ttls, max_ttl) for s in source_list]
     else:
-        from repro.runtime.parallel import pmap
         from repro.runtime.shm import SharedTopology
 
         with SharedTopology(topology) as share:
@@ -502,6 +469,6 @@ def reach_fractions(
             )
             rows = pmap(
                 task, source_list,
-                seed=0, key="reach", n_workers=n_workers, needs_rng=False,
+                seed=0, key="reach", n_workers=workers, needs_rng=False,
             )
     return np.stack(rows).mean(axis=0)

@@ -5,10 +5,9 @@ Three cooperating pieces, each usable on its own:
 * :mod:`repro.runtime.parallel` — ``pmap``, a process-pool fan-out
   whose per-task RNGs come from :func:`repro.utils.rng.derive`, so the
   result is bitwise-identical for any worker count.
-* :mod:`repro.runtime.shm` — publishes topology CSR shards and
-  posting-list shards to POSIX shared memory so workers attach the
-  ~1M-element arrays instead of unpickling them per task;
-  :mod:`repro.runtime.shards` runs the shard-parallel BFS over them.
+* :mod:`repro.runtime.shm` — publishes a topology's flat CSR arrays
+  and posting-list shards to POSIX shared memory so workers attach the
+  ~1M-element arrays instead of unpickling them per task.
 * :mod:`repro.runtime.cache` — a content-addressed on-disk artifact
   cache keyed by a stable digest of the frozen config dataclasses, so
   repeated runs skip topology/trace regeneration.

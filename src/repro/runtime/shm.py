@@ -4,15 +4,14 @@ Pickling the Fig. 8 topology's ~1M CSR entries (or a content index's
 posting lists) into every worker task would dominate the fan-out cost.
 Instead an *owner* publishes each artifact into POSIX shared-memory
 segments once, and workers attach zero-copy read-only views by segment
-name.  There is one layout for each artifact: the node-range shard set
-of :mod:`repro.overlay.sharding` (:class:`SharedTopology`) and the
-term-range posting shards of :mod:`repro.overlay.content`
-(:class:`ShardedPostings`), one segment per shard array.  Both default
-to a single shard; workers that run the flat kernels read a one-shard
-attachment through its zero-copy ``flat()`` view.  Each
-:class:`SharedArraySpec` carries its array's dtype string, so the
-transport is dtype-agnostic: narrowing a kernel array never touches
-this layer.
+name.  There is one layout for each artifact: a topology is its three
+flat CSR arrays (:class:`SharedTopology`; attaching yields a read-only
+:class:`~repro.overlay.topology.Topology` the flat kernels run on
+unchanged), and a posting index is the term-range posting shards of
+:mod:`repro.overlay.content` (:class:`ShardedPostings`, one shard by
+default), one segment per array.  Each :class:`SharedArraySpec`
+carries its array's dtype string, so the transport is dtype-agnostic:
+narrowing a kernel array never touches this layer.
 
 Lifecycle: the owner creates a :class:`SharedTopology` or
 :class:`ShardedPostings` (ideally as a context manager) and ships the
@@ -54,13 +53,11 @@ from repro.overlay.content import (
     SharedContentIndex,
     partition_postings,
 )
-from repro.overlay.sharding import ShardSet, TopologyShard, partition_topology
 from repro.overlay.topology import Topology
 from repro.runtime.sanitize import freeze
 
 __all__ = [
     "PostingShardSpec",
-    "ShardSpec",
     "ShardedPostings",
     "ShardedPostingsSpec",
     "SharedArraySpec",
@@ -85,35 +82,16 @@ class SharedArraySpec:
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """Addresses of one shard's CSR arrays plus its node range."""
+class SharedTopologySpec:
+    """Picklable address of a published :class:`Topology`'s CSR arrays."""
 
-    lo: int
-    hi: int
     offsets: SharedArraySpec
     neighbors: SharedArraySpec
-
-
-@dataclass(frozen=True)
-class SharedTopologySpec:
-    """Picklable address of a published :class:`ShardSet`.
-
-    ``bounds`` and ``boundary_counts`` are value-carried (they are
-    O(shards) and O(shards^2) metadata, not per-node arrays), so
-    attaching never touches a segment for them.
-    """
-
-    bounds: tuple[int, ...]
     forwards: SharedArraySpec
-    shards: tuple[ShardSpec, ...]
-    boundary_counts: tuple[tuple[int, ...], ...]
 
     def arrays(self) -> tuple[SharedArraySpec, ...]:
         """Every segment address, in publication order."""
-        return (
-            self.forwards,
-            *(a for s in self.shards for a in (s.offsets, s.neighbors)),
-        )
+        return (self.offsets, self.neighbors, self.forwards)
 
 
 @dataclass(frozen=True)
@@ -147,19 +125,11 @@ class ShardedPostingsSpec:
         )
 
 
-def _shard_set_view(
+def _topology_view(
     spec: SharedTopologySpec, arrays: Sequence[np.ndarray]
-) -> ShardSet:
-    """The :class:`ShardSet` over arrays laid out as ``spec.arrays()``."""
-    return ShardSet(
-        bounds=freeze(np.asarray(spec.bounds, dtype=np.int64)),
-        forwards=arrays[0],
-        shards=tuple(
-            TopologyShard(s.lo, s.hi, arrays[1 + 2 * i], arrays[2 + 2 * i])
-            for i, s in enumerate(spec.shards)
-        ),
-        boundary_counts=freeze(np.asarray(spec.boundary_counts, dtype=np.int64)),
-    )
+) -> Topology:
+    """The :class:`Topology` over arrays laid out as ``spec.arrays()``."""
+    return Topology(*arrays)
 
 
 def _posting_set_view(
@@ -207,10 +177,10 @@ class _AttachCache:
     Eviction (and explicit :func:`detach`) only ever closes a mapping
     that nothing outside the cache references: neither the view object
     nor any array built over the segments (see :meth:`_release`).  So a
-    consumer holding a view, an array taken out of one, or a flat view
-    assembled from them (a resident ``FloodDepthCache``, a serving
-    engine) can never have its memory unmapped out from under it.  A
-    still-referenced candidate is treated as recently used instead.
+    consumer holding a view or an array taken out of one (a resident
+    ``FloodDepthCache``, a serving engine) can never have its memory
+    unmapped out from under it.  A still-referenced candidate is
+    treated as recently used instead.
     """
 
     def __init__(self, capacity: int = 16) -> None:
@@ -516,61 +486,27 @@ def cleanup_on_signal(
     return uninstall
 
 
-def _conflicting_shards(n_partitioned: int, n_shards: int | None) -> None:
-    """Refuse an ``n_shards`` that contradicts a pre-partitioned source."""
-    if n_shards is not None and n_shards != n_partitioned:
-        raise ValueError(
-            f"source is already partitioned into {n_partitioned} "
-            f"shards; n_shards={n_shards} conflicts"
-        )
-
-
 class SharedTopology(_SharedArrayOwner):
     """Owner handle for a topology published to shared memory.
 
-    Accepts a :class:`Topology` plus ``n_shards`` (default one shard)
-    or a pre-partitioned :class:`ShardSet`.  Each shard's offsets and
-    neighbors get a segment of their own, plus one for the global
-    forwards mask.  The owner pre-seeds the attachment cache with views
+    The offsets, neighbors and forwards arrays get one segment each.
+    The owner pre-seeds the attachment cache with a :class:`Topology`
     over the published segments, so the owning process (and
     fork-started workers) read the exact bytes the spec addresses.
     """
 
     spec: SharedTopologySpec
 
-    def __init__(
-        self, source: Topology | ShardSet, *, n_shards: int | None = None
-    ) -> None:
-        if isinstance(source, ShardSet):
-            _conflicting_shards(source.n_shards, n_shards)
-            shard_set = source
-        else:
-            shard_set = partition_topology(source, n_shards or 1)
-        with span("shard.publish", shards=shard_set.n_shards):
+    def __init__(self, topology: Topology) -> None:
+        with span("topology.publish", nodes=topology.n_nodes):
             specs, segments, views = _export(
-                [shard_set.forwards]
-                + [a for s in shard_set.shards for a in (s.offsets, s.neighbors)]
+                [topology.offsets, topology.neighbors, topology.forwards]
             )
-        spec = SharedTopologySpec(
-            bounds=tuple(int(b) for b in shard_set.bounds),
-            forwards=specs[0],
-            shards=tuple(
-                ShardSpec(s.lo, s.hi, specs[1 + 2 * i], specs[2 + 2 * i])
-                for i, s in enumerate(shard_set.shards)
-            ),
-            boundary_counts=tuple(
-                tuple(int(c) for c in row) for row in shard_set.boundary_counts
-            ),
-        )
-        self._adopt(spec, segments, _shard_set_view(spec, views))
+        spec = SharedTopologySpec(*specs)
+        self._adopt(spec, segments, _topology_view(spec, views))
 
     def __enter__(self) -> "SharedTopology":
         return self
-
-    @property
-    def shard_set(self) -> ShardSet:
-        """The view-backed shard set over the published segments."""
-        return attach_topology(self.spec)
 
 
 class ShardedPostings(_SharedArrayOwner):
@@ -593,7 +529,11 @@ class ShardedPostings(_SharedArrayOwner):
         n_shards: int | None = None,
     ) -> None:
         if isinstance(source, PostingShardSet):
-            _conflicting_shards(source.n_shards, n_shards)
+            if n_shards is not None and n_shards != source.n_shards:
+                raise ValueError(
+                    f"source is already partitioned into {source.n_shards} "
+                    f"shards; n_shards={n_shards} conflicts"
+                )
             shard_set = source
         else:
             shard_set = partition_postings(source, n_shards or 1)
@@ -659,9 +599,9 @@ def _attach(
     return cast(_View, value)
 
 
-def attach_topology(spec: SharedTopologySpec) -> ShardSet:
+def attach_topology(spec: SharedTopologySpec) -> Topology:
     """Map a published topology into this process (cached, read-only)."""
-    return _attach(spec, _shard_set_view)
+    return _attach(spec, _topology_view)
 
 
 def attach_postings(spec: ShardedPostingsSpec) -> PostingShardSet:

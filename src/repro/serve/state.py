@@ -3,10 +3,9 @@
 :class:`ServiceState` is the load-once half of the serving story: it
 builds (or loads from the mmap-blob artifact cache) the topology and
 content index, publishes them to shared memory **once**, and holds the
-owner handles — :class:`~repro.runtime.shm.SharedTopology`,
-:class:`~repro.runtime.shm.ShardedPostings`, and (when sharded) a
-:class:`~repro.runtime.shards.ShardedFloodRunner` — resident for the
-process lifetime.  Every request then dispatches through one
+owner handles — :class:`~repro.runtime.shm.SharedTopology` and
+:class:`~repro.runtime.shm.ShardedPostings` — resident for the process
+lifetime.  Every request then dispatches through one
 persistent :class:`~repro.overlay.batch.BatchQueryEngine` whose flood
 and match caches warm monotonically across requests.
 
@@ -25,7 +24,6 @@ from repro.obs import get_logger, span
 from repro.overlay.batch import BatchQueryEngine
 from repro.overlay.content import SharedContentIndex, partition_postings
 from repro.overlay.topology import Topology
-from repro.runtime.shards import ShardedFloodRunner
 from repro.runtime.shm import ShardedPostings, SharedTopology
 
 __all__ = ["ServiceConfig", "ServiceState"]
@@ -39,18 +37,15 @@ class ServiceConfig:
 
     The trace is generated with ``n_peers == n_nodes`` so every overlay
     node shares content — the engine requires the two populations to
-    coincide.  ``n_shards > 1`` additionally partitions the posting
-    lists and runs BFS through a sharded flood runner; outcomes are
-    bitwise identical at every setting (the engine's equivalence
-    guarantee), so these are capacity knobs, not semantics knobs.
+    coincide.  ``n_shards > 1`` partitions the posting lists into that
+    many term-range shards; outcomes are bitwise identical at every
+    setting (the engine's equivalence guarantee), so these are capacity
+    knobs, not semantics knobs.
     """
 
     n_nodes: int = 5_000
     seed: int = 0
     n_shards: int = 1
-    #: Worker processes of the sharded BFS runner (only meaningful with
-    #: ``n_shards > 1``; 1 keeps BFS in-process).
-    bfs_workers: int = 1
     #: Engine fan-out width per micro-batch (1 = in-process serial,
     #: which is right for the small batches admission control forms).
     engine_workers: int = 1
@@ -59,7 +54,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
-        if self.n_shards < 1 or self.bfs_workers < 1 or self.engine_workers < 1:
+        if self.n_shards < 1 or self.engine_workers < 1:
             raise ValueError("shard/worker counts must be positive")
 
 
@@ -69,7 +64,7 @@ class ServiceState:
     Construct from in-memory artifacts (tests hand in small fixtures)
     or via :meth:`from_config`, which goes through the cached builders.
     Use as a context manager or call :meth:`close`; closing unlinks the
-    published shared-memory segments and stops the BFS pool.
+    published shared-memory segments.
     """
 
     def __init__(
@@ -78,7 +73,6 @@ class ServiceState:
         content: SharedContentIndex,
         *,
         n_shards: int = 1,
-        bfs_workers: int = 1,
         engine_workers: int = 1,
         flood_cache_entries: int = 256,
     ) -> None:
@@ -94,21 +88,15 @@ class ServiceState:
             self.shared_postings = ShardedPostings(
                 partition_postings(content, n_shards)
             )
-            self.runner: ShardedFloodRunner | None = None
-            if n_shards > 1:
-                self.runner = ShardedFloodRunner(
-                    topology, n_shards=n_shards, n_workers=bfs_workers
-                )
         self.engine = BatchQueryEngine(
             topology,
             content,
             flood_cache_entries=flood_cache_entries,
-            depth_provider=self.runner,
             postings=self.shared_postings.provider,
             topo_spec=self.shared_topology.spec,
         )
         _LOG.info(
-            "service state resident: %d nodes, %d instances, %d shard(s)",
+            "service state resident: %d nodes, %d instances, %d posting shard(s)",
             topology.n_nodes,
             content.n_instances,
             n_shards,
@@ -139,7 +127,6 @@ class ServiceState:
             topology,
             content,
             n_shards=config.n_shards,
-            bfs_workers=config.bfs_workers,
             engine_workers=config.engine_workers,
             flood_cache_entries=config.flood_cache_entries,
         )
@@ -202,12 +189,10 @@ class ServiceState:
         }
 
     def close(self) -> None:
-        """Unlink published segments and stop the BFS pool (idempotent)."""
+        """Unlink published segments (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self.runner is not None:
-            self.runner.close()
         self.shared_postings.close()
         self.shared_topology.close()
 

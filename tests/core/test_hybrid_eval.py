@@ -35,7 +35,7 @@ class TestHybridClaims:
         assert 4 <= result.dht_hops_per_lookup <= 14
 
     def test_parallel_probes_match_serial(self, result):
-        # Workers read the published one-shard topology via flat views.
+        # Workers read the published topology.
         parallel = evaluate_hybrid(
             HybridEvalConfig(n_eval_objects=60, n_flood_probes=20, n_workers=2)
         )

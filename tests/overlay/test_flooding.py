@@ -13,7 +13,7 @@ from repro.overlay.flooding import (
     flood_depths_batch,
     reach_fractions,
 )
-from repro.overlay.topology import from_networkx, two_tier_gnutella
+from repro.overlay.topology import from_networkx
 
 
 class TestFloodOnRing:
@@ -289,27 +289,3 @@ class TestDepthDtype:
     def test_horizon_at_ceiling_is_accepted(self, small_flat):
         depth, _ = flood_depths(small_flat, 0, 32_767)
         assert int(depth.max()) < 32_767
-
-
-class TestProviderBackedCache:
-    def test_cache_requires_an_anchor(self):
-        with pytest.raises(ValueError, match="topology or a depth provider"):
-            FloodDepthCache()
-
-    def test_provider_results_are_cached(self):
-        topo = two_tier_gnutella(200, seed=2)
-        inner = FloodDepthCache(topo)
-        calls = []
-
-        class CountingProvider:
-            def bfs_entry(self, source, max_depth):
-                calls.append(source)
-                return inner._bfs(source, max_depth)
-
-        cache = FloodDepthCache(provider=CountingProvider())
-        ref_depth, _ = flood_depths(topo, 5, 4)
-        entry = cache.entry(5, 4)
-        again = cache.entry(5, 4)
-        assert np.array_equal(entry.depth_at(4), ref_depth)
-        assert np.array_equal(again.depth_at(4), ref_depth)
-        assert calls == [5]

@@ -7,9 +7,22 @@ task's generator is derived from ``(seed, key, index)`` alone.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.experiment import Fig8TopologyConfig
+from repro.core.flood_sim import (
+    FloodSimConfig,
+    PlacementSpec,
+    _run_fig8_uncached,
+    run_flood_success,
+)
+from repro.core.hybrid_eval import HybridEvalConfig, evaluate_hybrid
+from repro.overlay.flooding import reach_fractions
+from repro.overlay.topology import two_tier_gnutella
 from repro.runtime.parallel import pmap, resolve_workers
 from repro.utils.rng import derive
 
@@ -137,3 +150,76 @@ class TestPmapEdges:
 
     def test_accepts_iterator(self):
         assert pmap(_identity, iter(range(3)), seed=0, key="e") == [0, 1, 2]
+
+
+def _reach(n_workers: int) -> np.ndarray:
+    topo = two_tier_gnutella(800, seed=3)
+    return reach_fractions(
+        topo, np.arange(0, 800, 100), [1, 2, 3], n_workers=n_workers
+    )
+
+
+def _flood_success(n_workers: int) -> np.ndarray:
+    topo = two_tier_gnutella(800, seed=3)
+    return run_flood_success(
+        topo, PlacementSpec(), ttls=(1, 2, 3), n_eval_objects=8, seed=2,
+        n_workers=n_workers,
+    ).success
+
+
+def _fig8(n_workers: int) -> np.ndarray:
+    result = _run_fig8_uncached(
+        FloodSimConfig(
+            topology=Fig8TopologyConfig(n_nodes=2_000),
+            ttls=(1, 2, 3),
+            n_eval_objects=6,
+            uniform_replicas=(1,),
+            n_workers=n_workers,
+        )
+    )
+    return np.stack([curve.success for curve in result.curves])
+
+
+def _hybrid(n_workers: int) -> np.ndarray:
+    result = evaluate_hybrid(
+        HybridEvalConfig(
+            topology=Fig8TopologyConfig(n_nodes=2_000),
+            n_eval_objects=6,
+            n_flood_probes=4,
+            dht_lookup_samples=10,
+            n_workers=n_workers,
+        )
+    )
+    return np.asarray(dataclasses.astuple(result))
+
+
+#: (experiment, module whose ``pmap`` it fans out through).
+CALLERS = [
+    pytest.param(_reach, "repro.runtime.parallel", id="reach_fractions"),
+    pytest.param(_flood_success, "repro.core.flood_sim", id="run_flood_success"),
+    pytest.param(_fig8, "repro.core.flood_sim", id="run_fig8"),
+    pytest.param(_hybrid, "repro.core.hybrid_eval", id="evaluate_hybrid"),
+]
+
+
+class TestCallersResolveWorkers:
+    """Experiments honour ``n_workers``'s contract: 0 is one per CPU."""
+
+    @pytest.mark.parametrize(("run", "pmap_module"), CALLERS)
+    def test_zero_fans_out_per_cpu(self, run, pmap_module, monkeypatch):
+        serial = run(1)
+        widths: list[int] = []
+
+        def spy(*args, **kwargs):
+            widths.append(kwargs["n_workers"])
+            return pmap(*args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(f"{pmap_module}.pmap", spy)
+        np.testing.assert_array_equal(run(0), serial)
+        assert widths and set(widths) == {2}
+
+    @pytest.mark.parametrize(("run", "pmap_module"), CALLERS)
+    def test_negative_rejected(self, run, pmap_module):
+        with pytest.raises(ValueError, match="n_workers"):
+            run(-1)

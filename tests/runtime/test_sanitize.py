@@ -88,7 +88,7 @@ class TestFreeze:
         # in-place write shape raises at the write itself.
         topo = two_tier_gnutella(150, seed=3)
         with SharedTopology(topo) as share:
-            attached = attach_topology(share.spec).flat()
+            attached = attach_topology(share.spec)
             assert attached.neighbors.flags.writeable is False
             assert attached.offsets.flags.writeable is False
             view = attached.neighbors

@@ -3,11 +3,10 @@
 Each owner's contract — round trip, cached attach, hashable and
 picklable spec, read-only views, close unlinks and evicts, idempotent
 close, an owner that refuses to pickle, ``pmap`` workers reading the
-segments — is checked at one shard
-(the default, read through flat views) and at three, by the same
-helpers: for :class:`SharedTopology` in the first three classes and
-for :class:`ShardedPostings` in the last.  Publishing pre-partitioned
-shard sets is covered in ``test_shards.py``.
+segments — is checked by the same helpers over every layout the owner
+publishes: for :class:`SharedTopology` (its one flat CSR layout) in
+the first three classes, and for :class:`ShardedPostings` at one and
+three posting shards in the last.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from repro.overlay.content import (
     intersect_postings_batch,
     partition_postings,
 )
-from repro.overlay.sharding import ShardSet, partition_topology
-from repro.overlay.topology import two_tier_gnutella
+from repro.overlay.topology import Topology, two_tier_gnutella
 from repro.runtime.parallel import pmap
 from repro.runtime.shm import (
     ShardedPostings,
@@ -37,11 +35,26 @@ from repro.runtime.shm import (
     attach_topology,
 )
 
-SHARD_COUNTS = (1, 3)
+POSTING_SHARD_COUNTS = (1, 3)
 
-# (owner, attach function, local partitioner, spec type) per artifact.
-TOPOLOGY = (SharedTopology, attach_topology, partition_topology, SharedTopologySpec)
-POSTINGS = (ShardedPostings, attach_postings, partition_postings, ShardedPostingsSpec)
+
+def _topology_layouts(topo):
+    """The one topology layout: (owner factory, what it publishes)."""
+    yield partial(SharedTopology, topo), topo
+
+
+def _posting_layouts(content):
+    """Posting layouts at each shard count: (owner factory, local shards)."""
+    for n_shards in POSTING_SHARD_COUNTS:
+        yield (
+            partial(ShardedPostings, content, n_shards=n_shards),
+            partition_postings(content, n_shards),
+        )
+
+
+# (layouts, attach function, spec type) per artifact.
+TOPOLOGY = (_topology_layouts, attach_topology, SharedTopologySpec)
+POSTINGS = (_posting_layouts, attach_postings, ShardedPostingsSpec)
 
 
 @pytest.fixture(scope="module")
@@ -49,43 +62,36 @@ def topo():
     return two_tier_gnutella(400, seed=9)
 
 
-def _arrays(shard_set) -> list[np.ndarray]:
+def _arrays(view) -> list[np.ndarray]:
     """Every array of a topology or posting shard set, in a fixed order."""
-    if isinstance(shard_set, ShardSet):
-        head = [shard_set.forwards, shard_set.boundary_counts]
-        pairs = [(s.offsets, s.neighbors) for s in shard_set.shards]
-    else:
-        head = [shard_set.instance_peer]
-        pairs = [(s.offsets, s.instances) for s in shard_set.shards]
-    return [shard_set.bounds, *head, *(a for pair in pairs for a in pair)]
+    if isinstance(view, Topology):
+        return [view.offsets, view.neighbors, view.forwards]
+    pairs = [(s.offsets, s.instances) for s in view.shards]
+    return [view.bounds, view.instance_peer, *(a for pair in pairs for a in pair)]
 
 
 def _check_roundtrip(artifact, source) -> None:
-    owner, attach, partition, _ = artifact
-    for n_shards in SHARD_COUNTS:
-        local = partition(source, n_shards)
-        with owner(source, n_shards=n_shards) as share:
-            attached = attach(share.spec)
-            assert attached.n_shards == n_shards
-            assert [(s.lo, s.hi) for s in attached.shards] == [
-                (s.lo, s.hi) for s in local.shards
-            ]
-            for got, want in zip(_arrays(attached), _arrays(local)):
+    layouts, attach, _ = artifact
+    for publish, local in layouts(source):
+        with publish() as share:
+            got_arrays, want_arrays = _arrays(attach(share.spec)), _arrays(local)
+            assert len(got_arrays) == len(want_arrays)
+            for got, want in zip(got_arrays, want_arrays):
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype
 
 
 def _check_attach_is_cached(artifact, source) -> None:
-    owner, attach, _, _ = artifact
-    for n_shards in SHARD_COUNTS:
-        with owner(source, n_shards=n_shards) as share:
+    layouts, attach, _ = artifact
+    for publish, _ in layouts(source):
+        with publish() as share:
             assert attach(share.spec) is attach(share.spec)
 
 
 def _check_spec_is_hashable_and_picklable(artifact, source) -> None:
-    owner, _, _, spec_type = artifact
-    for n_shards in SHARD_COUNTS:
-        with owner(source, n_shards=n_shards) as share:
+    layouts, _, spec_type = artifact
+    for publish, _ in layouts(source):
+        with publish() as share:
             spec = share.spec
             assert isinstance(spec, spec_type)
             restored = pickle.loads(pickle.dumps(spec))
@@ -94,18 +100,18 @@ def _check_spec_is_hashable_and_picklable(artifact, source) -> None:
 
 
 def _check_views_are_read_only(artifact, source) -> None:
-    owner, attach, _, _ = artifact
-    for n_shards in SHARD_COUNTS:
-        with owner(source, n_shards=n_shards) as share:
+    layouts, attach, _ = artifact
+    for publish, _ in layouts(source):
+        with publish() as share:
             for array in _arrays(attach(share.spec)):
                 with pytest.raises((ValueError, RuntimeError)):
                     array[0] = -1
 
 
 def _check_close_unlinks_and_evicts_cache(artifact, source) -> None:
-    owner, attach, _, _ = artifact
-    for n_shards in SHARD_COUNTS:
-        share = owner(source, n_shards=n_shards)
+    layouts, attach, _ = artifact
+    for publish, _ in layouts(source):
+        share = publish()
         spec = share.spec
         attach(spec)
         share.close()
@@ -116,17 +122,17 @@ def _check_close_unlinks_and_evicts_cache(artifact, source) -> None:
 
 
 def _check_close_is_idempotent(artifact, source) -> None:
-    owner, _, _, _ = artifact
-    for n_shards in SHARD_COUNTS:
-        share = owner(source, n_shards=n_shards)
+    layouts, _, _ = artifact
+    for publish, _ in layouts(source):
+        share = publish()
         share.close()
         share.close()
 
 
 def _check_owner_refuses_pickling(artifact, source) -> None:
-    owner, _, _, _ = artifact
-    for n_shards in SHARD_COUNTS:
-        with owner(source, n_shards=n_shards) as share:
+    layouts, _, _ = artifact
+    for publish, _ in layouts(source):
+        with publish() as share:
             with pytest.raises(TypeError, match=r"send its \.spec"):
                 pickle.dumps(share)
 
@@ -138,8 +144,7 @@ def _owner_task(item: int, rng: np.random.Generator, *, owner=None) -> int:
 
 def _remote_degree_sum(item: int, rng: np.random.Generator, *, spec=None) -> int:
     """Worker that maps the shared topology and sums its degrees."""
-    shard_set = attach_topology(spec)
-    return sum(int(np.diff(s.offsets).sum()) for s in shard_set.shards) + item
+    return int(np.diff(attach_topology(spec).offsets).sum()) + item
 
 
 def _remote_posting_sum(item: int, rng: np.random.Generator, *, spec=None) -> int:
@@ -157,23 +162,23 @@ class TestRoundtrip:
         with SharedTopology(topo) as topo_share, ShardedPostings(
             small_content
         ) as post_share:
-            flat_topo = attach_topology(topo_share.spec).flat()
+            # The attachment is the flat kernels' own input type.
+            attached = attach_topology(topo_share.spec)
+            assert isinstance(attached, Topology)
             flat_post = attach_postings(post_share.spec).flat()
             assert isinstance(flat_post, DensePostings)
             for got, want in (
-                (flat_topo.offsets, topo.offsets),
-                (flat_topo.neighbors, topo.neighbors),
-                (flat_topo.forwards, topo.forwards),
+                (attached.offsets, topo.offsets),
+                (attached.neighbors, topo.neighbors),
+                (attached.forwards, topo.forwards),
                 (flat_post.posting_offsets, dense.posting_offsets),
                 (flat_post.posting_instances, dense.posting_instances),
                 (flat_post.instance_peer, dense.instance_peer),
             ):
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype
-            del flat_topo, flat_post
-        with SharedTopology(topo, n_shards=3) as share:
-            with pytest.raises(ValueError, match="exactly one shard"):
-                attach_topology(share.spec).flat()
+                assert got.flags.writeable is False
+            del attached, flat_post
 
     def test_attach_is_cached(self, topo):
         _check_attach_is_cached(TOPOLOGY, topo)
@@ -200,11 +205,10 @@ class TestCrossProcess:
     def test_workers_read_shared_topology(self):
         topo = two_tier_gnutella(600, seed=9)
         expected = int(np.asarray(topo.degree()).sum())
-        for n_shards in SHARD_COUNTS:
-            with SharedTopology(topo, n_shards=n_shards) as share:
-                task = partial(_remote_degree_sum, spec=share.spec)
-                results = pmap(task, [0, 1, 2, 3], seed=0, key="shm", n_workers=2)
-            assert results == [expected + i for i in range(4)]
+        with SharedTopology(topo) as share:
+            task = partial(_remote_degree_sum, spec=share.spec)
+            results = pmap(task, [0, 1, 2, 3], seed=0, key="shm", n_workers=2)
+        assert results == [expected + i for i in range(4)]
 
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="POSIX shm filesystem required"
@@ -247,7 +251,7 @@ class TestSharedPostings:
     def test_intersections_match_local_index(self, small_content):
         keys = [(0,), (0, 1), (3, 5)]
         expected = [small_content.match_key(key) for key in keys]
-        for n_shards in SHARD_COUNTS:
+        for n_shards in POSTING_SHARD_COUNTS:
             with ShardedPostings(small_content, n_shards=n_shards) as share:
                 provider = attach_postings(share.spec)
                 rows = intersect_postings_batch(provider, keys)
@@ -266,7 +270,7 @@ class TestSharedPostings:
 
     def test_workers_read_shared_postings(self, small_content):
         expected = int(small_content._posting_instances.sum())
-        for n_shards in SHARD_COUNTS:
+        for n_shards in POSTING_SHARD_COUNTS:
             with ShardedPostings(small_content, n_shards=n_shards) as share:
                 task = partial(_remote_posting_sum, spec=share.spec)
                 results = pmap(task, [0, 1], seed=0, key="shm-post", n_workers=2)

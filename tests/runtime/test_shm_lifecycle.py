@@ -164,8 +164,8 @@ with SharedTopology(topology) as owner:
     print(*(array.name for array in spec.arrays()), flush=True)
     # Forget the owner's own view, then attach by name as a worker does.
     assert _CACHE.drop(spec) is True
-    neighbors = attach_topology(spec).shards[0].neighbors
-    for held in ("array", "flat view"):
+    neighbors = attach_topology(spec).neighbors
+    for held in ("array", "topology view"):
         try:
             detach(spec)
         except RuntimeError as exc:
@@ -173,11 +173,11 @@ with SharedTopology(topology) as owner:
             print("refused")
         if held == "array":
             assert int(neighbors.sum()) == expected
-            flat = attach_topology(spec).flat()
+            view = attach_topology(spec)
             del neighbors
         else:
-            assert int(flat.neighbors.sum()) == expected
-            del flat
+            assert int(view.neighbors.sum()) == expected
+            del view
         print("ok", flush=True)
     assert detach(spec) is True
     print("detached")

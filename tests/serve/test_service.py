@@ -129,8 +129,8 @@ class TestGoldenParity:
     def test_engine_fan_out_reads_the_published_segments(
         self, serve_topology, small_content, query_pool, n_shards
     ):
-        # --engine-workers > 1: pmap workers attach the state's one-shard
-        # topology and its posting shards instead of re-publishing.
+        # --engine-workers > 1: pmap workers attach the state's topology
+        # and its posting shards instead of re-publishing.
         request = make_search(
             query_pool,
             sources=tuple(range(0, 48, 2)),
