@@ -31,7 +31,7 @@ from repro.analysis.temporal import (
     interval_term_counts,
     popular_sets_cumulative,
 )
-from repro.core.experiment import TraceBundle, build_trace_bundle
+from repro.core.experiment import TraceBundle, build_content_index, build_trace_bundle
 from repro.overlay.content import SharedContentIndex
 
 __all__ = ["MismatchConfig", "MismatchReport", "run_mismatch_analysis"]
@@ -110,7 +110,7 @@ def run_mismatch_analysis(
         bundle = build_trace_bundle()
     workload = bundle.workload
     if content is None:
-        content = SharedContentIndex(bundle.trace)
+        content = build_content_index(bundle.trace)
 
     def counts_at(interval_s: float) -> IntervalCounts:
         return interval_term_counts(

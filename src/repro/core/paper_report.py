@@ -30,16 +30,15 @@ def build_report(seed: int = 0) -> list[Claim]:
     """Run the suite and evaluate every §III-§VII headline claim."""
     from repro.analysis.replication import summarize_replication
     from repro.analysis.resolvability import measure_resolvability
-    from repro.core.experiment import build_trace_bundle
+    from repro.core.experiment import build_content_index, build_trace_bundle
     from repro.core.hybrid_eval import HybridEvalConfig, evaluate_hybrid
     from repro.core.mismatch import run_mismatch_analysis
     from repro.core.synopsis import SynopsisConfig, run_synopsis_experiment
-    from repro.overlay.content import SharedContentIndex
 
     claims: list[Claim] = []
 
     bundle = build_trace_bundle()
-    content = SharedContentIndex(bundle.trace)
+    content = build_content_index(bundle.trace)
 
     s = summarize_replication(bundle.trace.replica_counts(), bundle.trace.n_peers)
     claims.append(

@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.experiment import TraceBundle, build_trace_bundle
+from repro.core.experiment import TraceBundle, build_content_index, build_trace_bundle
 from repro.overlay.churn import ChurnTimeline
 from repro.overlay.content import SharedContentIndex
 from repro.overlay.topology import Topology, flat_random
-from repro.utils.bloom import optimal_parameters
+from repro.utils.bloom import optimal_parameters, probe_positions
 from repro.utils.rng import derive
 
 __all__ = [
@@ -49,16 +49,6 @@ __all__ = [
     "PeerSynopses",
     "run_synopsis_experiment",
 ]
-
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _mix(x: np.ndarray, salt: int) -> np.ndarray:
-    z = (x.astype(np.uint64) + np.uint64(salt)) & _MASK64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> np.uint64(31))
-
 
 class PeerSynopses:
     """All peers' Bloom synopses as one bit matrix.
@@ -73,13 +63,7 @@ class PeerSynopses:
         self.bits = np.zeros((n_peers, self.m_bits), dtype=bool)
 
     def _positions(self, term_ids: np.ndarray) -> np.ndarray:
-        ids = np.atleast_1d(np.asarray(term_ids, dtype=np.uint64))
-        h1 = _mix(ids, 0x9E3779B97F4A7C15)
-        h2 = _mix(ids, 0xD1B54A32D192ED03) | np.uint64(1)
-        j = np.arange(self.k_hashes, dtype=np.uint64)
-        return ((h1[:, None] + j[None, :] * h2[:, None]) % np.uint64(self.m_bits)).astype(
-            np.int64
-        )
+        return probe_positions(term_ids, self.m_bits, self.k_hashes)
 
     def clear(self) -> None:
         """Drop every synopsis (epoch rebuild)."""
@@ -175,44 +159,64 @@ class SynopsisResult:
         raise KeyError(policy)
 
 
-def _peer_term_sets(content: SharedContentIndex) -> list[np.ndarray]:
-    """Distinct term ids per peer."""
+@dataclass(frozen=True)
+class _PeerTerms:
+    """Every distinct (peer, term) pair, sorted by peer, then term."""
+
+    peer: np.ndarray
+    term: np.ndarray
+    #: index of each pair within its peer's run of pairs.
+    slot: np.ndarray
+    n_terms: int
+
+
+def _peer_term_pairs(content: SharedContentIndex) -> _PeerTerms:
+    """Distinct term ids per peer, as flat pair arrays."""
+    n_terms = content.term_index.n_terms
     terms = content._posting_terms
     peers = content.instance_peer[content._posting_instances]
-    pairs = np.unique(peers.astype(np.int64) * content.term_index.n_terms + terms)
-    peer_of_pair = pairs // content.term_index.n_terms
-    term_of_pair = pairs % content.term_index.n_terms
-    out: list[np.ndarray] = []
-    boundaries = np.searchsorted(peer_of_pair, np.arange(content.n_peers + 1))
-    for p in range(content.n_peers):
-        out.append(term_of_pair[boundaries[p] : boundaries[p + 1]])
-    return out
+    peer, term = np.divmod(np.unique(peers.astype(np.int64) * n_terms + terms), n_terms)
+    starts = np.searchsorted(peer, np.arange(content.n_peers))
+    slot = np.arange(peer.size) - starts[peer]
+    return _PeerTerms(peer=peer, term=term, slot=slot, n_terms=n_terms)
 
 
 def _build_synopses(
     synopses: PeerSynopses,
-    peer_terms: list[np.ndarray],
+    pairs: _PeerTerms,
+    positions: np.ndarray,
     scores: np.ndarray,
     capacity: int,
     include: np.ndarray | None = None,
 ) -> None:
     """Fill each peer's synopsis with its top-``capacity`` terms by score.
 
-    ``include`` masks which peers advertise at all — under churn, only
-    peers online at build time publish a synopsis.
+    Ties go to the larger term id.  ``positions`` holds every term's
+    Bloom probes (row ``t`` for term ``t``).  ``include`` masks which
+    peers advertise at all — under churn, only peers online at build
+    time publish a synopsis.
     """
     synopses.clear()
-    for p, terms in enumerate(peer_terms):
-        if include is not None and not include[p]:
-            continue
-        if terms.size == 0:
-            continue
-        if terms.size <= capacity:
-            chosen = terms
-        else:
-            order = np.argsort(scores[terms], kind="stable")[::-1]
-            chosen = terms[order[:capacity]]
-        synopses.add(p, chosen)
+    peer, term, slot = pairs.peer, pairs.term, pairs.slot
+    if include is not None:
+        online = include[peer]
+        peer, term, slot = peer[online], term[online], slot[online]
+    # A stable ascending sort of all term ids by score, reversed, ranks
+    # by score descending, then term id descending: restricted to one
+    # peer's terms, that is the order a per-peer sort would give.  The
+    # peer-major sort leaves each peer's pairs in their own run, so
+    # ``slot`` still counts positions within the run.
+    n_terms = scores.size
+    order = np.argsort(scores, kind="stable")[::-1]
+    rank = np.empty(n_terms, dtype=np.int64)
+    rank[order] = np.arange(n_terms)
+    keys = np.sort(peer * n_terms + rank[term])
+    chosen = slot < capacity
+    rows = peer[chosen]
+    probes = positions[order[keys[chosen] - rows * n_terms]]
+    # ``bits`` is C-contiguous, so the flat reshape is a view.
+    flat = synopses.bits.reshape(-1)
+    flat[(rows[:, None] * synopses.m_bits + probes).ravel()] = True
 
 
 def _guided_walk(
@@ -234,7 +238,8 @@ def _guided_walk(
 
     if answers(source):
         return True, 0
-    visited = {source}
+    visited = np.zeros(topology.n_nodes, dtype=bool)
+    visited[source] = True
     current = source
     for step in range(1, budget + 1):
         neigh = topology.neighbors_of(current)
@@ -245,14 +250,14 @@ def _guided_walk(
         nxt = -1
         if claim is not None:
             promising = neigh[claim[neigh]]
-            fresh = promising[[int(v) not in visited for v in promising]]
+            fresh = promising[~visited[promising]]
             if fresh.size:
                 nxt = int(fresh[rng.integers(0, fresh.size)])
         if nxt < 0:
-            unvisited = neigh[[int(v) not in visited for v in neigh]]
+            unvisited = neigh[~visited[neigh]]
             pool = unvisited if unvisited.size else neigh
             nxt = int(pool[rng.integers(0, pool.size)])
-        visited.add(nxt)
+        visited[nxt] = True
         current = nxt
         if answers(current):
             return True, step
@@ -284,7 +289,7 @@ def run_synopsis_experiment(
     if bundle is None:
         bundle = build_trace_bundle()
     if content is None:
-        content = SharedContentIndex(bundle.trace)
+        content = build_content_index(bundle.trace)
     if topology is None:
         topology = flat_random(
             content.n_peers, cfg.avg_degree, derive(cfg.seed, "synopsis", "topology")
@@ -333,9 +338,14 @@ def run_synopsis_experiment(
         mask[peers] = True
         match_masks.append(mask if peers.size else None)
 
-    peer_terms = _peer_term_sets(content)
-    n_terms = content.term_index.n_terms
-    file_scores = content.term_peer_counts().astype(np.float64)
+    pairs = _peer_term_pairs(content)
+    n_terms = pairs.n_terms
+    # Every term's Bloom probes, hashed once for all rebuilds.
+    positions = probe_positions(
+        np.arange(n_terms), *optimal_parameters(cfg.capacity, cfg.fp_rate)
+    )
+    # Distinct-peer count per term (``content.term_peer_counts()``).
+    file_scores = np.bincount(pairs.term, minlength=n_terms).astype(np.float64)
     # Historical query popularity (training prefix only).
     hist_scores = np.bincount(train_terms, minlength=n_terms).astype(np.float64)
 
@@ -383,11 +393,13 @@ def run_synopsis_experiment(
             synopses = PeerSynopses(content.n_peers, cfg.capacity, cfg.fp_rate)
             if policy == "content":
                 _build_synopses(
-                    synopses, peer_terms, file_scores, cfg.capacity, epoch_online[0]
+                    synopses, pairs, positions, file_scores, cfg.capacity,
+                    epoch_online[0],
                 )
             elif policy == "static-query":
                 _build_synopses(
-                    synopses, peer_terms, hist_scores, cfg.capacity, epoch_online[0]
+                    synopses, pairs, positions, hist_scores, cfg.capacity,
+                    epoch_online[0],
                 )
         # The adaptive policy starts from (a scaled-down copy of) the
         # historical query popularity and layers recency on top; the
@@ -407,7 +419,9 @@ def run_synopsis_experiment(
             if policy == "adaptive" and (
                 q < cfg.n_queries and query_epoch[q] == e
             ):
-                _build_synopses(synopses, peer_terms, trend, cfg.capacity, online)
+                _build_synopses(
+                    synopses, pairs, positions, trend, cfg.capacity, online
+                )
             while q < cfg.n_queries and query_epoch[q] == e:
                 mask = match_masks[q]
                 ids = query_terms[q]

@@ -27,6 +27,7 @@ import numpy as np
 from repro.overlay.content import SharedContentIndex
 from repro.overlay.flooding import FloodDepthCache, flood_depths
 from repro.overlay.topology import Topology
+from repro.utils.bloom import splitmix64
 
 __all__ = [
     "QrpTables",
@@ -35,15 +36,6 @@ __all__ = [
     "qrp_flood",
     "qrp_flood_batch",
 ]
-
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _mix(x: np.ndarray, salt: int) -> np.ndarray:
-    z = (x.astype(np.uint64) + np.uint64(salt)) & _MASK64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> np.uint64(31))
 
 
 class QrpTables:
@@ -68,7 +60,8 @@ class QrpTables:
         self.table_bits[peers, slots] = True
 
     def _slot(self, term_ids: np.ndarray) -> np.ndarray:
-        h = _mix(np.atleast_1d(np.asarray(term_ids, dtype=np.uint64)), 0x9E3779B97F4A7C15)
+        ids = np.atleast_1d(np.asarray(term_ids, dtype=np.uint64))
+        h = splitmix64(ids, 0x9E3779B97F4A7C15)
         return (h & np.uint64(self.table_size - 1)).astype(np.int64)
 
     def query_slots(self, terms: list[str]) -> np.ndarray | None:

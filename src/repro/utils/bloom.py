@@ -19,17 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BloomFilter", "optimal_parameters"]
+__all__ = ["BloomFilter", "optimal_parameters", "probe_positions", "splitmix64"]
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _mix(x: np.ndarray, salt: int) -> np.ndarray:
+def splitmix64(x: np.ndarray, salt: int) -> np.ndarray:
     """splitmix64 finalizer — a cheap, well-distributed 64-bit mixer."""
     z = (x.astype(np.uint64) + np.uint64(salt)) & _MASK64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
     return z ^ (z >> np.uint64(31))
+
+
+def probe_positions(ids: np.ndarray, m_bits: int, k_hashes: int) -> np.ndarray:
+    """Probe positions of ``ids``, shape ``(len(ids), k_hashes)`` — double hashing."""
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.uint64))
+    h1 = splitmix64(ids, 0x9E3779B97F4A7C15)
+    h2 = splitmix64(ids, 0xD1B54A32D192ED03) | np.uint64(1)  # odd => full cycle
+    j = np.arange(k_hashes, dtype=np.uint64)
+    probes = (h1[:, None] + j[None, :] * h2[:, None]) & _MASK64
+    return (probes % np.uint64(m_bits)).astype(np.int64)
 
 
 def optimal_parameters(capacity: int, fp_rate: float) -> tuple[int, int]:
@@ -65,13 +75,8 @@ class BloomFilter:
         return cls(m, k)
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Probe positions, shape ``(len(ids), k)`` — double hashing."""
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.uint64))
-        h1 = _mix(ids, 0x9E3779B97F4A7C15)
-        h2 = _mix(ids, 0xD1B54A32D192ED03) | np.uint64(1)  # odd => full cycle
-        j = np.arange(self.k_hashes, dtype=np.uint64)
-        probes = (h1[:, None] + j[None, :] * h2[:, None]) & _MASK64
-        return (probes % np.uint64(self.m_bits)).astype(np.int64)
+        """Probe positions, shape ``(len(ids), k)``."""
+        return probe_positions(ids, self.m_bits, self.k_hashes)
 
     def add(self, ids: np.ndarray | int) -> None:
         """Insert one id or an array of ids."""
