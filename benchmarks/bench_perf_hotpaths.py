@@ -232,6 +232,39 @@ def test_perf_intersect_batch_1k(benchmark, bundle, content):
     assert speedup >= 1.2
 
 
+def test_perf_synopsis_rebuild(benchmark, bundle, content):
+    """One synopsis rebuild over the default 1,000-peer index.
+
+    ``repro report`` runs 145 of these in ``run_synopsis_experiment``
+    (one per static policy, one per adaptive epoch).  The scores are
+    the historical query popularity the adaptive policy starts from.
+    """
+    from repro.core.synopsis import (
+        PeerSynopses,
+        SynopsisConfig,
+        _build_synopses,
+        _peer_term_pairs,
+    )
+
+    cfg = SynopsisConfig()
+    workload = bundle.workload
+    pairs = _peer_term_pairs(content)
+    vocab = np.array([
+        -1 if content.term_id(w) is None else content.term_id(w)
+        for w in workload.vocab_words
+    ])
+    cutoff = cfg.train_fraction * workload.config.duration_s
+    n_train = int(np.searchsorted(workload.timestamps, cutoff))
+    train = vocab[workload.term_ids[: workload.term_offsets[n_train]]]
+    scores = np.bincount(train[train >= 0], minlength=pairs.n_terms).astype(np.float64)
+    synopses = PeerSynopses(content.n_peers, cfg.capacity, cfg.fp_rate)
+    positions = synopses._positions(np.arange(pairs.n_terms))
+
+    benchmark(_build_synopses, synopses, pairs, positions, scores, cfg.capacity)
+    benchmark.extra_info["pairs"] = int(pairs.peer.size)
+    assert synopses.bits.any(axis=1).sum() == np.unique(pairs.peer).size
+
+
 def test_perf_intern_bulk(benchmark):
     """Bulk interning of 200k strings (~30k distinct)."""
     rng = make_rng(31)

@@ -36,12 +36,11 @@ def export_all(out_dir: str | Path, *, seed: int = 0, quick: bool = True) -> dic
     ``quick`` trims the Monte-Carlo sample counts for interactive use.
     """
     from repro.analysis.replication import summarize_replication
-    from repro.core.experiment import build_trace_bundle
+    from repro.core.experiment import build_content_index, build_trace_bundle
     from repro.core.flood_sim import FloodSimConfig, run_fig8
     from repro.core.hybrid_eval import HybridEvalConfig, evaluate_hybrid
     from repro.core.mismatch import run_mismatch_analysis
     from repro.core.reach import ReachConfig, measure_reach
-    from repro.overlay.content import SharedContentIndex
     from repro.utils.stats import ccdf
 
     out = Path(out_dir)
@@ -50,7 +49,7 @@ def export_all(out_dir: str | Path, *, seed: int = 0, quick: bool = True) -> dic
 
     with span("export.trace"):
         bundle = build_trace_bundle()
-        content = SharedContentIndex(bundle.trace)
+        content = build_content_index(bundle.trace)
 
     # FIG1: replica CCDF.
     with span("export.fig1"):
