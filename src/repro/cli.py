@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine fan-out width per micro-batch",
     )
     serve.add_argument("--max-queue", type=int, default=256)
-    serve.add_argument("--max-batch", type=int, default=64)
     serve.add_argument(
         "--timeout", type=float, default=10.0,
         help="default per-request deadline in seconds",
@@ -596,7 +595,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         policy = ServicePolicy(
             max_queue=args.max_queue,
-            max_batch=args.max_batch,
             default_timeout_s=args.timeout,
         )
         with ServiceState.from_config(config) as state:

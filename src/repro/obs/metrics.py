@@ -275,9 +275,11 @@ class _HistAccumulator:
 class MetricsRegistry:
     """Mutable process-local store of counters, gauges, and timers.
 
-    Not thread-synchronized: increments are single dict operations
-    (atomic under the GIL), which is sufficient for the counting done
-    here; exact cross-thread timer interleavings are not a guarantee.
+    Not thread-synchronized: :meth:`inc` reads a counter and then
+    stores the sum, so two threads incrementing one name can lose an
+    update.  Each process therefore records from one thread — the
+    query service evaluates on its event loop — and ``pmap`` workers
+    ship per-task deltas back for :meth:`merge`.
     """
 
     def __init__(self) -> None:

@@ -15,7 +15,6 @@ kernel's hot spot at the 40k-node Fig. 8 scale.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
@@ -107,20 +106,51 @@ def flood_depths(
         raise ValueError(f"p_loss must be in [0, 1), got {p_loss}")
     if p_loss > 0.0 and rng is None:
         raise ValueError("p_loss > 0 requires an rng")
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    depth, level_messages, _ = _levels(
+        topology,
+        np.atleast_1d(np.asarray(sources, dtype=np.int64)),
+        max_depth,
+        p_loss=p_loss,
+        rng=rng,
+    )
+    messages = int(level_messages.sum())
+    registry = metrics()
+    registry.inc("flood.calls")
+    registry.inc("flood.messages", messages)
+    return depth, messages
+
+
+def _levels(
+    topology: Topology,
+    sources: np.ndarray,
+    max_depth: int,
+    *,
+    p_loss: float,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The BFS level loop behind :func:`flood_depths` and the depth cache.
+
+    Returns ``(depth, level_messages, level_new)``: the depth map, the
+    transmissions sent at each level, and the nodes first reached at
+    each level (``level_new[0]`` counts the distinct sources).  Both
+    per-level arrays have ``max_depth + 1`` entries and read 0 past
+    the level where the flood died out.
+    """
     n = topology.n_nodes
     depth = np.full(n, -1, dtype=DEPTH_DTYPE)
+    level_messages = np.zeros(max_depth + 1, dtype=np.int64)
+    level_new = np.zeros(max_depth + 1, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
     visited[sources] = True
     depth[sources] = 0
     frontier = np.flatnonzero(visited)  # sorted unique sources
+    level_new[0] = frontier.size
     # Reusable per-level scratch, tracked by the sanitizer: under
     # REPRO_SANITIZE=shm it is poisoned on release, so any path that
     # kept a stale reference would fault bitwise instead of silently.
     from repro.runtime.sanitize import scratch_alloc, scratch_release
 
     level_mask = scratch_alloc(n, bool)
-    messages = 0
     offsets, neighbors, forwards = (
         topology.offsets,
         topology.neighbors,
@@ -138,9 +168,9 @@ def flood_depths(
             lengths = offsets[senders + 1] - offsets[senders]
             gather = np.repeat(offsets[senders], lengths) + ragged_arange(lengths)
             targets = neighbors[gather]
-            messages += targets.size
+            level_messages[level] = targets.size
             if p_loss > 0.0:
-                assert rng is not None  # validated above
+                assert rng is not None  # validated by flood_depths
                 targets = targets[rng.random(targets.size) >= p_loss]
             # Duplicate suppression without sorting: candidates are the
             # unvisited targets; marking them in the scratch mask
@@ -152,13 +182,11 @@ def flood_depths(
             level_mask[new] = False
             visited[new] = True
             depth[new] = level
+            level_new[level] = new.size
             frontier = new
     finally:
         scratch_release(level_mask)
-    registry = metrics()
-    registry.inc("flood.calls")
-    registry.inc("flood.messages", int(messages))
-    return depth, int(messages)
+    return depth, level_messages, level_new
 
 
 @dataclass(frozen=True)
@@ -216,15 +244,17 @@ class FloodDepthCache:
     Batched query evaluation floods the same sources over and over —
     Zipf workloads repeat sources, expanding rings re-flood one source
     at growing TTLs, strategy comparisons replay identical samples.
-    The cache BFS-es each source once to the requested horizon (with
-    reusable visited/frontier scratch instead of fresh ``n_nodes``
-    allocations per call) and answers every later (source, ttl) pair
-    from the stored :class:`DepthEntry`.  Entries are LRU-evicted
-    beyond ``max_entries``; a request deeper than a stored horizon
-    recomputes that source at the deeper horizon.
+    The cache BFS-es each source once to the requested horizon, with
+    the same level loop as :func:`flood_depths`, and answers every
+    later (source, ttl) pair from the stored :class:`DepthEntry`.
+    Entries are LRU-evicted beyond ``max_entries``; a request deeper
+    than a stored horizon recomputes that source at the deeper
+    horizon.
 
-    Only deterministic (lossless) floods are cacheable; ``p_loss``
-    floods must keep using :func:`flood_depths`.
+    Each BFS allocates its own scratch, so concurrent misses on one
+    instance stay exact; the entry table itself is not
+    thread-synchronized.  Only deterministic (lossless) floods are
+    cacheable; ``p_loss`` floods must keep using :func:`flood_depths`.
     """
 
     def __init__(self, topology: Topology, *, max_entries: int = 256) -> None:
@@ -233,15 +263,6 @@ class FloodDepthCache:
         self.topology = topology
         self.max_entries = max_entries
         self._entries: "OrderedDict[int, DepthEntry]" = OrderedDict()
-        n = topology.n_nodes
-        # Reusable per-BFS scratch (reset costs a memset, not an
-        # alloc).  Guarded by _scratch_lock: a second concurrent BFS
-        # would write into the same visited/frontier masks and
-        # silently corrupt both depth maps, so contended calls fall
-        # back to fresh allocations instead of sharing.
-        self._visited = np.zeros(n, dtype=bool)
-        self._level_mask = np.zeros(n, dtype=bool)
-        self._scratch_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -270,88 +291,27 @@ class FloodDepthCache:
     def _bfs(self, source: int, max_depth: int) -> DepthEntry:
         """One full BFS with per-level cumulative accounting.
 
-        Mirrors :func:`flood_depths` level for level, so
+        Runs the :func:`flood_depths` level loop, so
         ``entry.depth_at(t)`` / ``entry.messages(t)`` are bitwise equal
         to ``flood_depths(topology, source, t)`` for every
         ``t <= max_depth``.
         """
-        if self._scratch_lock.acquire(blocking=False):
-            try:
-                return self._bfs_with(
-                    source, max_depth, self._visited, self._level_mask
-                )
-            finally:
-                self._scratch_lock.release()
-        # Another BFS on this instance holds the scratch (threaded use);
-        # a private allocation keeps both depth maps correct.
-        metrics().inc("flood.cache.scratch_contention")
-        n = self.topology.n_nodes
-        return self._bfs_with(
-            source, max_depth,
-            np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
-        )
-
-    def _bfs_with(
-        self,
-        source: int,
-        max_depth: int,
-        visited: np.ndarray,
-        level_mask: np.ndarray,
-    ) -> DepthEntry:
-        """The BFS body, writing into caller-owned scratch masks."""
         metrics().inc("flood.cache.bfs")
-        topology = self.topology
-        n = topology.n_nodes
-        depth = np.full(n, -1, dtype=DEPTH_DTYPE)
-        visited[:] = False
-        visited[source] = True
-        depth[source] = 0
-        frontier = np.asarray([source], dtype=np.int64)
-        cum_messages = np.zeros(max_depth + 1, dtype=np.int64)
-        cum_reached = np.zeros(max_depth + 1, dtype=np.int64)
-        cum_reached[0] = 1
-        messages = 0
-        exhausted = False
-        offsets, neighbors, forwards = (
-            topology.offsets,
-            topology.neighbors,
-            topology.forwards,
+        depth, level_messages, level_new = _levels(
+            self.topology,
+            np.asarray([source], dtype=np.int64),
+            max_depth,
+            p_loss=0.0,
+            rng=None,
         )
-        for level in range(1, max_depth + 1):
-            if frontier.size == 0:
-                exhausted = True
-            else:
-                senders = frontier if level == 1 else frontier[forwards[frontier]]
-                if senders.size == 0:
-                    exhausted = True
-                else:
-                    lengths = offsets[senders + 1] - offsets[senders]
-                    gather = np.repeat(offsets[senders], lengths) + ragged_arange(
-                        lengths
-                    )
-                    targets = neighbors[gather]
-                    messages += targets.size
-                    candidates = targets[~visited[targets]]
-                    level_mask[candidates] = True
-                    new = np.flatnonzero(level_mask)
-                    level_mask[new] = False
-                    visited[new] = True
-                    depth[new] = level
-                    frontier = new
-            if exhausted:
-                cum_messages[level:] = messages
-                cum_reached[level:] = cum_reached[level - 1]
-                break
-            cum_messages[level] = messages
-            cum_reached[level] = cum_reached[level - 1] + frontier.size
-        if not exhausted and frontier.size == 0:
-            exhausted = True
         return DepthEntry(
             source=source,
             depth=depth,
-            cum_messages=cum_messages,
-            cum_reached=cum_reached,
-            exhausted=exhausted,
+            cum_messages=np.cumsum(level_messages),
+            cum_reached=np.cumsum(level_new),
+            # No node first reached at the horizon: the flood died out
+            # within it, so every deeper TTL reads the same entry.
+            exhausted=not level_new[max_depth],
         )
 
 
@@ -367,9 +327,9 @@ def flood_depths_batch(
     Returns ``(depth, messages)`` where ``depth[i]`` is the
     ``flood_depths(topology, sources[i], max_depth)`` depth map and
     ``messages[i]`` its message count — bitwise identical to the
-    per-source kernel, but repeated sources BFS once, and all floods
-    share one scratch set.  Pass an existing ``cache`` to also reuse
-    BFS results across calls (e.g. expanding-ring schedules).
+    per-source kernel, but repeated sources BFS once.  Pass an
+    existing ``cache`` to also reuse BFS results across calls (e.g.
+    expanding-ring schedules).
 
     The row-per-source depth matrix costs
     ``n_sources * n_nodes * 2`` bytes; workload-scale consumers must

@@ -13,6 +13,7 @@ import asyncio
 from typing import Any
 
 from repro.serve.http import (
+    HttpError,
     HttpResponse,
     json_bytes,
     read_response,

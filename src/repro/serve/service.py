@@ -1,12 +1,19 @@
 """Micro-batching dispatcher with admission control.
 
 Requests land on one bounded :class:`asyncio.Queue`.  A single
-dispatcher task drains whatever is queued (up to ``max_batch`` jobs),
-drops jobs whose deadline already passed (they resolve as 504 without
-touching the engine), groups the survivors by evaluation parameters,
-and runs each group through the resident
-:class:`~repro.overlay.batch.BatchQueryEngine` in one
-``evaluate_keys`` call on a single worker thread.
+dispatcher task drains whatever is queued (until the round holds
+``MAX_QUERIES_PER_REQUEST`` rows), drops jobs whose deadline already
+passed (they resolve as 504 without touching the engine), groups the
+survivors by evaluation parameters, and runs each group through the
+resident :class:`~repro.overlay.batch.BatchQueryEngine` in one
+``evaluate_keys`` call.
+
+Everything runs on the event loop's thread.  A round is evaluated
+inline, so no await point sits inside it: a round either finishes or
+never starts, and the engine's caches and the metrics registry have
+one writer.  After each round the dispatcher yields to the loop so
+the sockets that became readable meanwhile get their requests parsed
+and submitted before the next round is drained.
 
 The parity guarantee rides on the engine's own: each query's outcome
 is a pure function of ``(source, query key)``, so concatenating the
@@ -27,7 +34,6 @@ Admission control is two-tiered and explicit:
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +41,7 @@ import numpy as np
 from repro.obs import get_logger, metrics
 from repro.overlay.batch import BatchOutcome
 from repro.serve.protocol import (
+    MAX_QUERIES_PER_REQUEST,
     FloodProbeRequest,
     ResolvabilityRequest,
     SearchRequest,
@@ -64,20 +71,18 @@ class ServiceClosed(Exception):
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Admission-control and batching knobs of one service."""
+    """Admission-control knobs of one service."""
 
     #: Bound of the admission queue; the 429 threshold.
     max_queue: int = 256
-    #: Jobs drained into one dispatch round (grouped, then evaluated).
-    max_batch: int = 64
     #: Deadline applied when a request carries no ``timeout_s``.
     default_timeout_s: float = 10.0
     #: ``Retry-After`` hint handed to shed requests.
     retry_after_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_queue < 1 or self.max_batch < 1:
-            raise ValueError("max_queue and max_batch must be positive")
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be positive")
         if self.default_timeout_s <= 0 or self.retry_after_s <= 0:
             raise ValueError("timeouts must be positive")
 
@@ -91,15 +96,23 @@ class _Job:
     enqueued_at: float
     future: "asyncio.Future[Reply]" = field(repr=False, kw_only=True)
 
+    @property
+    def rows(self) -> int:
+        """Rows this job adds to a dispatch round; a flood probe is one."""
+        if isinstance(self.request, FloodProbeRequest):
+            return 1
+        return self.request.n_queries
+
 
 class QueryService:
     """The bounded queue + dispatcher in front of one engine.
 
-    All engine work runs on one worker thread (the engine's caches are
-    not thread-synchronized; a single thread also keeps the event loop
-    free to accept and shed).  Start with :meth:`start`, submit with
-    :meth:`submit`, stop with :meth:`stop` — stopping drains admitted
-    work before the dispatcher exits.
+    All engine work runs inline on the event loop, one round at a
+    time; a round holds at most ``MAX_QUERIES_PER_REQUEST`` rows plus
+    the job that crossed the bound, which caps how long it keeps the
+    loop from accepting, shedding and reading sockets.  Start with
+    :meth:`start`, submit with :meth:`submit`, stop with :meth:`stop` —
+    stopping drains admitted work before the dispatcher exits.
     """
 
     def __init__(
@@ -110,7 +123,6 @@ class QueryService:
         self._queue: "asyncio.Queue[_Job]" = asyncio.Queue(
             maxsize=self.policy.max_queue
         )
-        self._executor: ThreadPoolExecutor | None = None
         self._dispatcher: "asyncio.Task[None] | None" = None
         self._closing = False
 
@@ -125,12 +137,9 @@ class QueryService:
         return self._closing
 
     async def start(self) -> None:
-        """Spawn the dispatcher task and the engine worker thread."""
+        """Spawn the dispatcher task."""
         if self._dispatcher is not None:
             raise RuntimeError("service already started")
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-engine"
-        )
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
@@ -187,9 +196,6 @@ class QueryService:
             job = self._queue.get_nowait()
             self._resolve(job, (503, {"error": "service shut down"}))
             self._queue.task_done()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     # -- dispatch ------------------------------------------------------
 
@@ -212,11 +218,14 @@ class QueryService:
         while True:
             job = await self._queue.get()
             batch = [job]
-            while len(batch) < self.policy.max_batch:
+            rows = job.rows
+            while rows < MAX_QUERIES_PER_REQUEST:
                 try:
-                    batch.append(self._queue.get_nowait())
+                    job = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
+                batch.append(job)
+                rows += job.rows
             metrics().observe_hist("serve.batch.jobs", float(len(batch)))
             now = loop.time()
             live: list[_Job] = []
@@ -229,11 +238,8 @@ class QueryService:
                 else:
                     live.append(j)
             if live:
-                assert self._executor is not None
                 try:
-                    replies = await loop.run_in_executor(
-                        self._executor, self._execute, live
-                    )
+                    replies = self._execute(live)
                 except Exception:  # simlint: ignore[SIM004] any engine fault becomes a 500; the loop must not wedge
                     _LOG.exception("dispatch batch failed")
                     for j in live:
@@ -245,11 +251,20 @@ class QueryService:
                         self._resolve(j, reply)
             for _ in batch:
                 self._queue.task_done()
+            # The round held the loop, and ``queue.get()`` on a
+            # non-empty queue never suspends: without these yields a
+            # backlog would run round after round while handlers wait.
+            # Pass 1 runs the socket callbacks that fired during the
+            # round, pass 2 the handler tasks they woke (parse +
+            # submit), and the next round drains on pass 3.
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
 
-    # -- engine-thread execution ---------------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def _execute(self, jobs: list[_Job]) -> list[Reply]:
-        """Evaluate one dispatch round (runs on the engine thread)."""
+        """Evaluate one dispatch round."""
         replies: dict[int, Reply] = {}
         searches: list[tuple[int, SearchRequest]] = []
         for i, job in enumerate(jobs):

@@ -62,7 +62,6 @@ class TestFloodCacheOracle:
         assert delta.counter("flood.cache.misses") == 6
         assert delta.counter("flood.cache.evictions") == 2
         assert delta.counter("flood.cache.bfs") == 6
-        assert delta.counter("flood.cache.scratch_contention") == 0
 
     def test_counters_match_lru_simulation(self, small_two_tier):
         """Oracle cross-check on a non-trivial topology and schedule."""
@@ -102,22 +101,6 @@ class TestFloodCacheOracle:
 
 class TestScratchContentionRegression:
     """Satellite fix: concurrent BFS must not share scratch masks."""
-
-    def test_fallback_when_scratch_is_held(self, ring_topology):
-        cache = FloodDepthCache(ring_topology, max_entries=4)
-        reference = cache._bfs(3, 4)
-        before = metrics().snapshot()
-        assert cache._scratch_lock.acquire(blocking=False)
-        try:
-            contended = cache._bfs(3, 4)
-        finally:
-            cache._scratch_lock.release()
-        delta = _delta(before)
-        assert delta.counter("flood.cache.scratch_contention") == 1
-        np.testing.assert_array_equal(contended.depth, reference.depth)
-        np.testing.assert_array_equal(
-            contended.cum_messages, reference.cum_messages
-        )
 
     def test_concurrent_bfs_depth_maps_stay_correct(self, small_two_tier):
         """Two threads BFS-ing one cache instance must both be exact.

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.serve.client import ServiceClient
+from repro.serve.http import HttpError
 from repro.serve.server import OverlayQueryServer
 from repro.serve.service import ServicePolicy
 
@@ -167,3 +170,27 @@ class TestLifecycle:
             return False
 
         assert _run(scenario()) is True
+
+
+class TestClient:
+    def test_unanswered_request_raises_and_drops_the_connection(self):
+        # A peer that reads the request and hangs up: the client must
+        # surface a transport or framing error and not park the socket.
+        async def hang_up(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = ServiceClient("127.0.0.1", port)
+            try:
+                with pytest.raises((HttpError, OSError)):
+                    await client.get("/healthz")
+                return len(client._idle)
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        assert _run(scenario()) == 0
