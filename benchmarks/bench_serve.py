@@ -75,6 +75,7 @@ def _record(benchmark, report: LoadReport) -> None:
             "ok": report.ok,
             "shed": report.shed,
             "timeouts": report.timeouts,
+            "unanswered": report.unanswered,
             "errors": report.errors,
             "offered_qps": report.offered_qps,
             "achieved_qps": report.achieved_qps,
@@ -113,9 +114,10 @@ def test_serve_burst_load(benchmark, serving):
     )
     _record(benchmark, report)
     assert report.sent == config.n_requests
-    # Every offered request is accounted for: served, shed, or timed out.
+    # Every offered request is accounted for: served, shed, timed out,
+    # unanswered or failed.
     assert (
-        report.ok + report.shed + report.timeouts + report.errors
-        == report.sent
+        report.ok + report.shed + report.timeouts + report.unanswered
+        + report.errors == report.sent
     )
     assert report.ok > 0

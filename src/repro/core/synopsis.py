@@ -172,13 +172,12 @@ class _PeerTerms:
 
 def _peer_term_pairs(content: SharedContentIndex) -> _PeerTerms:
     """Distinct term ids per peer, as flat pair arrays."""
-    n_terms = content.term_index.n_terms
-    terms = content._posting_terms
-    peers = content.instance_peer[content._posting_instances]
-    peer, term = np.divmod(np.unique(peers.astype(np.int64) * n_terms + terms), n_terms)
+    peer, term = content.peer_terms
     starts = np.searchsorted(peer, np.arange(content.n_peers))
     slot = np.arange(peer.size) - starts[peer]
-    return _PeerTerms(peer=peer, term=term, slot=slot, n_terms=n_terms)
+    return _PeerTerms(
+        peer=peer, term=term, slot=slot, n_terms=content.term_index.n_terms
+    )
 
 
 def _build_synopses(
@@ -344,8 +343,7 @@ def run_synopsis_experiment(
     positions = probe_positions(
         np.arange(n_terms), *optimal_parameters(cfg.capacity, cfg.fp_rate)
     )
-    # Distinct-peer count per term (``content.term_peer_counts()``).
-    file_scores = np.bincount(pairs.term, minlength=n_terms).astype(np.float64)
+    file_scores = content.term_peer_counts().astype(np.float64)
     # Historical query popularity (training prefix only).
     hist_scores = np.bincount(train_terms, minlength=n_terms).astype(np.float64)
 

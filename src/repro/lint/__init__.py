@@ -22,9 +22,7 @@ Project rules (phase 2, over the cross-module symbol table and call
 graph built by :mod:`repro.lint.index`):
 
 ========  ===========================================================
-SIM010    no rng/Generator value captured by a pmap task closure
 SIM011    no two derive()/pmap-key sites with colliding constant keys
-SIM012    shm allocations release their segments on every path
 SIM013    cached producers stay pure functions of their cache key
 SIM014    producer code changes require a version bump (producers.lock)
 ========  ===========================================================

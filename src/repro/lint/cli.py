@@ -7,7 +7,7 @@ schema (documented in docs/static-analysis.md) for CI annotation;
 
 v2 additions: ``--baseline``/``--write-baseline`` (adopt-then-ratchet
 workflow), ``--update-lock`` (re-pin SIM014's producers.lock),
-``--fix`` (mechanical SIM012/SIM014 rewrites), ``--stats`` (per-rule
+``--fix`` (the mechanical SIM014 version bump), ``--stats`` (per-rule
 counts and index timings), and ``--index-cache`` (reuse the phase-1
 symbol table across CI steps).
 """
@@ -45,9 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "simlint: two-phase static analyzer for the repro codebase — "
             "per-file invariants (RNG discipline, wall-clock bans, export "
-            "hygiene) plus cross-module dataflow rules (closure-captured "
-            "generators, shm lifecycle, cache purity, version-bump "
-            "enforcement)."
+            "hygiene) plus cross-module rules (derived-seed collisions, "
+            "cache purity, version-bump enforcement)."
         ),
     )
     parser.add_argument(
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fix", action="store_true",
-        help="apply mechanical fixes (SIM012 with-wrap, SIM014 version bump)",
+        help="apply mechanical fixes (SIM014 version bump)",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -226,9 +225,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             diag for diag, reason in result.skipped if "overlap" in reason
         ]
         if overlaps:
-            # Overlapping SIM012/SIM014 edits in one file are refused
-            # rather than applied blindly; one more pass picks up the
-            # survivors once the first rewrite has landed.
+            # Overlapping edits (two producers bumping one shared
+            # version constant) are refused rather than applied
+            # blindly; one more pass picks up the survivors once the
+            # first rewrite has landed.
             print(
                 f"simlint: {len(overlaps)} fix(es) overlapped an earlier "
                 f"edit and were skipped; re-run --fix after this pass",

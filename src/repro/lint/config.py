@@ -7,9 +7,9 @@ environments, and the defaults encode this repository's conventions.
 
 v2 adds per-tree rule selection (``[tool.simlint.per-tree."tests/*"]``
 tables overlay ``select``/``ignore`` for matching paths), the baseline
-file, the SIM014 producer lock, and the target sets the semantic rules
-resolve against (parallel-map entry points, shm factories, cache
-registrars).
+file, the SIM014 producer lock, and the target sets the project rules
+resolve against (parallel-map entry points, cache registrars, derive
+functions).
 """
 
 from __future__ import annotations
@@ -45,20 +45,11 @@ DEFAULT_WALLCLOCK_EXEMPT = (
 
 DEFAULT_EXCLUDE = ("*/.git/*", "*/__pycache__/*", "*/build/*", "*/dist/*")
 
-# SIM010: deterministic fan-out entry points whose task closures must
-# not capture a live generator (workers re-derive from (seed, key, i)).
+# SIM011: deterministic fan-out entry points whose ``key=`` constants
+# span the task streams (key, 0), (key, 1), ...
 DEFAULT_PARALLEL_MAPS = (
     "repro.runtime.parallel.pmap",
     "repro.runtime.parallel.parallel_map",
-)
-
-# SIM012: allocations that own kernel-backed segments and must be
-# released on every path (with / try-finally / ownership transfer).
-DEFAULT_SHM_FACTORIES = (
-    "repro.runtime.shm.SharedTopology",
-    "repro.runtime.shm.ShardedPostings",
-    "multiprocessing.shared_memory.SharedMemory",
-    "shared_memory.SharedMemory",
 )
 
 # SIM013/SIM014: the artifact-cache registrar whose compute callables
@@ -125,7 +116,6 @@ class LintConfig:
     wallclock_exempt: tuple[str, ...] = DEFAULT_WALLCLOCK_EXEMPT
     per_tree: tuple[TreeRules, ...] = ()
     parallel_maps: tuple[str, ...] = DEFAULT_PARALLEL_MAPS
-    shm_factories: tuple[str, ...] = DEFAULT_SHM_FACTORIES
     cache_registrars: tuple[str, ...] = DEFAULT_CACHE_REGISTRARS
     derive_functions: tuple[str, ...] = DEFAULT_DERIVE_FUNCTIONS
     print_allowed: tuple[str, ...] = DEFAULT_PRINT_ALLOWED
@@ -266,9 +256,6 @@ def load_config(
         per_tree=_parse_per_tree(table.get("per_tree")),
         parallel_maps=_as_str_tuple(
             table.get("parallel_maps", defaults.parallel_maps), "parallel_maps"
-        ),
-        shm_factories=_as_str_tuple(
-            table.get("shm_factories", defaults.shm_factories), "shm_factories"
         ),
         cache_registrars=_as_str_tuple(
             table.get("cache_registrars", defaults.cache_registrars),

@@ -4,17 +4,17 @@ v2 runs in two phases.  Phase 1 parses every target file once, runs
 the per-file rules, and builds the project-wide
 :class:`~repro.lint.index.ProjectIndex` (symbol table + call graph).
 Phase 2 hands that index to the registered
-:class:`~repro.lint.rules.ProjectRule`\\ s (the SIM010-SIM014
-determinism and lifecycle rules), whose dataflow analyses span
-function and module boundaries.
+:class:`~repro.lint.rules.ProjectRule`\\ s (SIM011, SIM013 and SIM014:
+seed-stream and artifact-cache rules), whose analyses span function
+and module boundaries.
 
 Suppression happens here, not in rules: a rule always reports what it
 sees, and the engine drops diagnostics whose line carries a
 ``# simlint: ignore[SIMxxx]`` pragma or whose code is deselected
 (globally or by a ``per-tree`` overlay).  Pragmas for the semantic
 SIM01x family must carry a justifying reason after the bracket —
-``# simlint: ignore[SIM012] owner outlives workers by design`` — or
-the suppression is refused.
+``# simlint: ignore[SIM011] serial-vs-parallel parity needs one stream``
+— or the suppression is refused.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.lint import builtin as _builtin  # noqa: F401  (registers SIM001-SIM008)
-from repro.lint import semantic as _semantic  # noqa: F401  (registers SIM010-SIM014)
+from repro.lint import semantic as _semantic  # noqa: F401  (registers SIM011-SIM014)
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.index import ProjectIndex, load_or_build_index

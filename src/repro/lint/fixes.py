@@ -1,21 +1,15 @@
-"""``repro-lint --fix``: mechanical rewrites for two semantic findings.
+"""``repro-lint --fix``: the mechanical SIM014 version bump.
 
-Only fixes whose correctness is locally decidable are attempted:
-
-* **SIM012** — ``seg = SharedThing(...)`` becomes
-  ``with SharedThing(...) as seg:`` with the remainder of the enclosing
-  block indented into the ``with`` body.  The rewrite is skipped when
-  the allocation spans multiple lines or nothing follows it (an empty
-  ``with`` body would not parse).
-* **SIM014** — the "code changed but version stayed N" variant bumps
-  the producer's version integer in place, whether it is an inline
-  literal or a module-level ``_FOO_CACHE_VERSION = N`` constant.  After
-  bumping, re-run ``repro-lint --update-lock`` to re-pin the lock.
+Only fixes whose correctness is locally decidable are attempted.  The
+"code changed but version stayed N" variant of SIM014 bumps the
+producer's version integer in place, whether it is an inline literal
+or a module-level ``_FOO_CACHE_VERSION = N`` constant.  After bumping,
+re-run ``repro-lint --update-lock`` to re-pin the lock.
 
 Edits are collected per file and applied bottom-up so earlier edits
-never invalidate later line numbers.  Everything else (SIM010 closure
-captures, SIM011 key collisions, SIM013 impurities) requires a design
-decision and is deliberately left to a human.
+never invalidate later line numbers.  Everything else (SIM011 key
+collisions, SIM013 impurities) requires a design decision and is
+deliberately left to a human.
 """
 
 from __future__ import annotations
@@ -32,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports rules
     from repro.lint.engine import LintRun
 
 __all__ = ["FixResult", "apply_fixes"]
-
-_INDENT = "    "
 
 
 @dataclass
@@ -52,53 +44,6 @@ class _Edit:
     start: int
     end: int
     replacement: list[str]
-
-
-def _parent_blocks(tree: ast.AST) -> list[list[ast.stmt]]:
-    blocks: list[list[ast.stmt]] = []
-    for node in ast.walk(tree):
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(node, attr, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                blocks.append(block)
-        if isinstance(node, ast.Try):
-            for handler in node.handlers:
-                blocks.append(handler.body)
-    return blocks
-
-
-def _leading_ws(line: str) -> str:
-    return line[: len(line) - len(line.lstrip())]
-
-
-def _fix_shm_with(
-    ctx: FileContext, diag: Diagnostic
-) -> tuple[_Edit, str | None] | tuple[None, str]:
-    """Build the ``with``-wrap edit for one SIM012 finding."""
-    lines = ctx.source.splitlines()
-    for block in _parent_blocks(ctx.tree):
-        for pos, stmt in enumerate(block):
-            if stmt.lineno != diag.line or not isinstance(stmt, ast.Assign):
-                continue
-            if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-                return None, "assignment target is not a single name"
-            if stmt.end_lineno != stmt.lineno:
-                return None, "allocation spans multiple lines"
-            rest = block[pos + 1 :]
-            if not rest:
-                return None, "nothing follows the allocation to scope under `with`"
-            name = stmt.targets[0].id
-            call_src = ast.get_source_segment(ctx.source, stmt.value)
-            if call_src is None:
-                return None, "cannot recover allocation source text"
-            indent = _leading_ws(lines[stmt.lineno - 1])
-            body_end = max(s.end_lineno or s.lineno for s in rest)
-            replacement = [f"{indent}with {call_src} as {name}:"]
-            for lineno in range(stmt.lineno + 1, body_end + 1):
-                original = lines[lineno - 1]
-                replacement.append(_INDENT + original if original.strip() else original)
-            return _Edit(stmt.lineno, body_end, replacement), None
-    return None, "no single-name shm assignment found at the reported line"
 
 
 def _find_version_assign(
@@ -173,21 +118,18 @@ def apply_fixes(run: "LintRun") -> FixResult:
             producers_at[(producer.owner.path, producer.call.lineno)] = producer
 
     for diag in run.findings:
+        if diag.code != "SIM014" or "version stayed" not in diag.message:
+            continue
         ctx = project.files.get(diag.path) if project is not None else None
         if ctx is None:
             continue
         edit: _Edit | None = None
         reason: str | None = None
-        if diag.code == "SIM012":
-            edit, reason = _fix_shm_with(ctx, diag)
-        elif diag.code == "SIM014" and "version stayed" in diag.message:
-            producer = producers_at.get((diag.path, diag.line))
-            if producer is None:
-                reason = "producer registration not found at the reported line"
-            else:
-                edit, reason = _fix_version_bump(ctx, diag, producer)
+        producer = producers_at.get((diag.path, diag.line))
+        if producer is None:
+            reason = "producer registration not found at the reported line"
         else:
-            continue
+            edit, reason = _fix_version_bump(ctx, diag, producer)
         if edit is None:
             skipped.append((diag, reason or "unfixable"))
             continue

@@ -1,26 +1,25 @@
-"""The SIM010-SIM014 semantic rule family (cross-module dataflow).
+"""The SIM011, SIM013 and SIM014 project rules (cross-module analysis).
 
-These rules guard exactly the machinery PRs 2-3 added — the ``pmap``
-worker streams, the ``SharedTopology``/``ShardedPostings`` shm
-transports, and the content-addressed artifact cache — where a single
-undisciplined call site silently breaks serial≡parallel equivalence or
-poisons cached artifacts:
+These rules guard the ``pmap``/``derive`` worker streams and the
+content-addressed artifact cache, where a single undisciplined call
+site silently correlates "independent" samples or poisons cached
+artifacts:
 
 ========  ===========================================================
-SIM010    no live RNG generator may cross a ``pmap`` task boundary
 SIM011    ``derive(...)``/``pmap(key=...)`` constant key tuples must
           not collide under a shared experiment entry point
-SIM012    shm allocations release on every path (with / try-finally /
-          ownership transfer)
 SIM013    ``cached_call`` producers are pure functions of their key
           (no env, wall clock, fresh RNG, or mutated module globals)
 SIM014    a producer whose normalized AST digest changed must bump its
           ``version`` (tracked in the committed producers lock)
 ========  ===========================================================
 
-All five are :class:`~repro.lint.rules.ProjectRule`\\ s: they run over
-the phase-1 :class:`~repro.lint.index.ProjectIndex` and the phase-2
-dataflow primitives rather than a single file's tree.
+All three are :class:`~repro.lint.rules.ProjectRule`\\ s: they run over
+the phase-1 :class:`~repro.lint.index.ProjectIndex` (symbol table and
+call graph) rather than a single file's tree.  Two former rules of
+this family are runtime checks now: ``pmap`` refuses a live generator
+crossing its task boundary, and the shm owners count every owner their
+garbage-collection net had to close (docs/static-analysis.md).
 """
 
 from __future__ import annotations
@@ -33,13 +32,6 @@ from typing import Iterator
 from weakref import WeakKeyDictionary
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.dataflow import (
-    cleanup_guaranteed,
-    escapes,
-    free_names,
-    own_nodes,
-    rng_tainted_names,
-)
 from repro.lint.index import (
     FunctionInfo,
     ModuleInfo,
@@ -55,8 +47,6 @@ __all__ = [
     "DerivedSeedCollisionRule",
     "LockEntry",
     "Producer",
-    "RngFlowRule",
-    "ShmLifecycleRule",
     "VersionBumpRule",
     "compute_lock_entries",
     "find_producers",
@@ -75,106 +65,6 @@ def _diag(path: str, node: ast.AST, code: str, message: str) -> Diagnostic:
         code=code,
         message=message,
     )
-
-
-def _name_loads(node: ast.AST) -> set[str]:
-    return {
-        n.id
-        for n in ast.walk(node)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    }
-
-
-# ---------------------------------------------------------------------
-# SIM010 — rng-flow across pmap boundaries
-# ---------------------------------------------------------------------
-
-
-@register_rule
-class RngFlowRule:
-    """SIM010 — no live generator may cross a ``pmap`` task boundary.
-
-    ``pmap`` owes its serial≡parallel bitwise guarantee to every task
-    re-deriving its generator from ``(seed, key, index)``.  A generator
-    captured by the task closure (or passed through ``partial``/items)
-    is *shared state*: serially the tasks advance one stream in order,
-    while pickled worker copies all restart from the same state — the
-    two schedules diverge silently.
-    """
-
-    code = "SIM010"
-    summary = "no rng/Generator value may be captured by a pmap task closure"
-
-    def check_project(self, ctx: ProjectContext) -> Iterator[Diagnostic]:
-        for func in ctx.index.functions.values():
-            module = ctx.index.modules[func.module]
-            yield from self._check_scope(
-                ctx, module, func.path, func.node, inherited=set()
-            )
-
-    def _check_scope(
-        self,
-        ctx: ProjectContext,
-        module: ModuleInfo,
-        path: str,
-        scope: ast.FunctionDef | ast.AsyncFunctionDef,
-        inherited: set[str],
-    ) -> Iterator[Diagnostic]:
-        tainted = rng_tainted_names(scope, module.aliases) | inherited
-        local_defs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-        nested: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
-        for node in own_nodes(scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local_defs[node.name] = node
-                nested.append(node)
-        for node in own_nodes(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = ctx.index.qualified_chain(node.func, module)
-            if chain not in ctx.config.parallel_maps:
-                continue
-            yield from self._check_pmap_call(
-                ctx, path, node, tainted, local_defs
-            )
-        for sub in nested:
-            yield from self._check_scope(ctx, module, path, sub, tainted)
-
-    def _check_pmap_call(
-        self,
-        ctx: ProjectContext,
-        path: str,
-        call: ast.Call,
-        tainted: set[str],
-        local_defs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
-    ) -> Iterator[Diagnostic]:
-        seen: set[str] = set()
-
-        def leak(node: ast.AST, name: str, how: str) -> Iterator[Diagnostic]:
-            if name in seen:
-                return
-            seen.add(name)
-            yield _diag(
-                path, node, self.code,
-                f"rng generator {name!r} {how} a pmap task boundary; "
-                "workers must re-derive via derive(seed, key, i), never "
-                "share a live generator",
-            )
-
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            # A lambda task (or one wrapped in partial) capturing a
-            # generator from the enclosing scope.
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Lambda):
-                    for name in sorted(free_names(sub) & tainted):
-                        yield from leak(sub, name, "is captured by a closure crossing")
-            # A locally-defined task function capturing a generator.
-            for name in sorted(_name_loads(arg)):
-                if name in local_defs:
-                    captured = free_names(local_defs[name]) & tainted
-                    for cap in sorted(captured):
-                        yield from leak(arg, cap, f"is captured by task {name}() crossing")
-                elif name in tainted:
-                    yield from leak(arg, name, "is passed directly across")
 
 
 # ---------------------------------------------------------------------
@@ -311,77 +201,6 @@ class DerivedSeedCollisionRule:
                     "generators — use distinct stream keys",
                 )
                 break
-
-
-# ---------------------------------------------------------------------
-# SIM012 — shm lifecycle
-# ---------------------------------------------------------------------
-
-
-@register_rule
-class ShmLifecycleRule:
-    """SIM012 — shared-memory allocations release on every path.
-
-    A ``SharedTopology``/``ShardedPostings``/``SharedMemory`` segment is
-    a kernel object: an exception between allocation and ``close()``
-    leaks it until reboot.  The allocation must be a ``with`` item,
-    be immediately guarded by ``try/finally`` cleanup, or escape to the
-    caller (return/yield/store/pass), which transfers ownership.
-    """
-
-    code = "SIM012"
-    summary = "shm allocation without guaranteed close()/unlink() on every path"
-
-    def check_project(self, ctx: ProjectContext) -> Iterator[Diagnostic]:
-        for func in ctx.index.functions.values():
-            module = ctx.index.modules[func.module]
-            yield from self._check_scope(ctx, module, func.path, func.node)
-
-    def _is_alloc(
-        self, ctx: ProjectContext, module: ModuleInfo, value: ast.expr
-    ) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        chain = ctx.index.qualified_chain(value.func, module)
-        return chain in ctx.config.shm_factories
-
-    def _check_scope(
-        self,
-        ctx: ProjectContext,
-        module: ModuleInfo,
-        path: str,
-        scope: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Diagnostic]:
-        for node in own_nodes(scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_scope(ctx, module, path, node)
-            elif isinstance(node, ast.Expr) and self._is_alloc(
-                ctx, module, node.value
-            ):
-                yield _diag(
-                    path, node, self.code,
-                    "shm allocation is not bound to a name or context "
-                    "manager — its segments can never be released",
-                )
-            elif isinstance(node, ast.Assign) and self._is_alloc(
-                ctx, module, node.value
-            ):
-                if len(node.targets) != 1 or not isinstance(
-                    node.targets[0], ast.Name
-                ):
-                    continue
-                name = node.targets[0].id
-                if escapes(name, scope):
-                    continue  # ownership transferred to the caller
-                if cleanup_guaranteed(name, node, scope):
-                    continue
-                yield _diag(
-                    path, node, self.code,
-                    f"shm allocation {name!r} has no guaranteed release: "
-                    "use `with`, or follow the allocation immediately with "
-                    "try/finally calling close()/unlink() (an exception "
-                    "here leaks the kernel segment)",
-                )
 
 
 # ---------------------------------------------------------------------

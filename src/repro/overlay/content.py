@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence, cast
 
 import numpy as np
@@ -651,6 +652,7 @@ class SharedContentIndex:
         state = dict(self.__dict__)
         state["_match_cache"] = OrderedDict()
         state["_postings"] = None
+        state.pop("peer_terms", None)
         return state
 
     @property
@@ -709,17 +711,29 @@ class SharedContentIndex:
         hi = self._posting_offsets[term_id + 1]
         return self._posting_instances[lo:hi]
 
-    def term_peer_counts(self) -> np.ndarray:
-        """Distinct-peer count per term — the paper's Fig. 3 quantity."""
-        peers = self.instance_peer[self._posting_instances]
+    @cached_property
+    def peer_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every distinct ``(peer, term)`` pair, sorted by peer, then term.
+
+        Two int64 arrays, ``(peer, term)``.  Computed on first use and
+        kept (never pickled): the mismatch and synopsis experiments
+        both read it within one report.
+        """
+        n_terms = self.term_index.n_terms
         pairs = np.unique(
             encode_pairs(
-                self._posting_terms, peers, self.n_peers, what="term/peer pairs"
+                self.instance_peer[self._posting_instances],
+                self._posting_terms,
+                n_terms,
+                what="peer/term pairs",
             )
         )
-        return np.bincount(
-            pairs // self.n_peers, minlength=self.term_index.n_terms
-        )
+        peer, term = np.divmod(pairs, n_terms)
+        return peer, term
+
+    def term_peer_counts(self) -> np.ndarray:
+        """Distinct-peer count per term — the paper's Fig. 3 quantity."""
+        return np.bincount(self.peer_terms[1], minlength=self.term_index.n_terms)
 
     def query_key(self, terms: Sequence[str]) -> tuple[int, ...] | None:
         """Canonical identity of a query: sorted distinct term ids.

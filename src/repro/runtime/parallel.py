@@ -15,6 +15,14 @@ function (or a :func:`functools.partial` of one).  Large shared inputs
 should travel through :mod:`repro.runtime.shm` rather than being
 captured in the partial, which would re-pickle them for every task.
 
+A task must draw only from the generator ``pmap`` hands it.  ``pmap``
+refuses, with ``TypeError`` and on the serial path too, a live
+``np.random.Generator`` that is the task, sits in the task's closure
+cells or in a :func:`functools.partial`'s arguments, or is an item (or
+an element of a tuple item): serially the tasks would advance one
+shared stream in order, while every worker's pickled copy restarts
+from the same state, so serial and parallel results would differ.
+
 Instrumentation: every task is timed into the ``pmap.task`` timer and
 counted under ``pmap.worker.<pid>.tasks``; parallel runs measure these
 inside each worker process and ship the per-task metrics delta back
@@ -25,10 +33,11 @@ never affect task results.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -58,6 +67,40 @@ def resolve_workers(n_workers: int) -> int:
     if n_workers == 0:
         return os.cpu_count() or 1
     return n_workers
+
+
+def _holds_generator(values: Iterable[object]) -> bool:
+    return any(isinstance(value, np.random.Generator) for value in values)
+
+
+def _closure_values(fn: object) -> list[object]:
+    """The bound contents of ``fn``'s closure cells (empty cells skipped)."""
+    values: list[object] = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        try:
+            values.append(cell.cell_contents)
+        except ValueError:  # a free name not bound yet
+            pass
+    return values
+
+
+def _generator_site(fn: object, items: Sequence[object]) -> str | None:
+    """Where a live generator would cross the task boundary, or ``None``."""
+    task = fn
+    while isinstance(task, functools.partial):
+        if _holds_generator((*task.args, *task.keywords.values())):
+            return "is bound by functools.partial"
+        task = task.func
+    if isinstance(task, np.random.Generator):
+        return "is the task itself"
+    if _holds_generator(_closure_values(task)):
+        return "is captured by the task's closure"
+    for item in items:
+        if isinstance(item, np.random.Generator) or (
+            isinstance(item, tuple) and _holds_generator(item)
+        ):
+            return "is passed as an item"
+    return None
 
 
 def _call_task(
@@ -145,6 +188,12 @@ def pmap(
     ``rng`` parameter would only invite misuse.
     """
     items_list = list(items)
+    site = _generator_site(fn, items_list)
+    if site is not None:
+        raise TypeError(
+            f"a live np.random.Generator {site}; each pmap task must draw "
+            "from the generator pmap derives for it from (seed, key, index)"
+        )
     workers = resolve_workers(n_workers)
     registry = metrics()
     registry.inc("pmap.maps")

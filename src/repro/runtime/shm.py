@@ -20,7 +20,10 @@ tiny picklable spec to workers, which call :func:`attach_topology` or
 pool worker maps each segment once no matter how many tasks it runs.
 The owner's ``close()`` unlinks the segments; workers must not outlive
 it.  Under the ``fork`` start method workers inherit the owner's
-attachment cache and never reopen the segments by name at all.
+attachment cache and never reopen the segments by name at all.  An
+owner dropped without ``close()`` is closed by its ``__del__`` safety
+net, which counts it in the ``shm.unclosed_owners`` counter; the test
+suite fails any test that moves that counter.
 
 Two guarantees added for long-lived processes (the serving loop):
 
@@ -424,9 +427,14 @@ class _SharedArrayOwner:
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
+            if not self._closed:
+                # Every owner must be closed by its holder; count each
+                # one this net had to close (tests fail when it moves).
+                metrics().inc("shm.unclosed_owners")
             self.close()
         except (AttributeError, TypeError):
-            # Interpreter shutdown: module globals may already be gone.
+            # A constructor that raised before _adopt, or interpreter
+            # shutdown: module globals may already be gone.
             pass
 
 

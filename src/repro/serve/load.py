@@ -153,12 +153,20 @@ def sample_sources(config: LoadConfig, n: int, n_nodes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """What one load run measured, SLO quantiles included."""
+    """What one load run measured, SLO quantiles included.
+
+    Every request lands in exactly one outcome:
+    ``ok + shed + timeouts + unanswered + errors == sent``.
+    ``timeouts`` counts the server's 504s (a missed deadline), and
+    ``unanswered`` the requests that got no reply within twice their
+    ``timeout_s`` (a stalled server or network).
+    """
 
     sent: int
     ok: int
     shed: int
     timeouts: int
+    unanswered: int
     errors: int
     offered_qps: float
     achieved_qps: float
@@ -173,6 +181,7 @@ class LoadReport:
             "ok": self.ok,
             "shed": self.shed,
             "timeouts": self.timeouts,
+            "unanswered": self.unanswered,
             "errors": self.errors,
             "offered_qps": self.offered_qps,
             "achieved_qps": self.achieved_qps,
@@ -191,7 +200,8 @@ class LoadReport:
             ("requests sent", f"{self.sent:,}"),
             ("ok", f"{self.ok:,}"),
             ("shed (429)", f"{self.shed:,}"),
-            ("timeouts", f"{self.timeouts:,}"),
+            ("timeouts (504)", f"{self.timeouts:,}"),
+            ("unanswered", f"{self.unanswered:,}"),
             ("errors", f"{self.errors:,}"),
             ("offered rate", f"{self.offered_qps:,.1f} req/s"),
             ("achieved rate", f"{self.achieved_qps:,.1f} req/s"),
@@ -223,7 +233,7 @@ async def run_load(
     picks = sample_query_indices(config, rows, len(queries))
     sources = sample_sources(config, rows, n_nodes)
     registry = MetricsRegistry()  # local: never pollutes the process registry
-    counts = {"ok": 0, "shed": 0, "timeout": 0, "error": 0}
+    counts = {"ok": 0, "shed": 0, "timeout": 0, "unanswered": 0, "error": 0}
     status_counts: dict[int, int] = {}
     loop = asyncio.get_running_loop()
 
@@ -247,7 +257,7 @@ async def run_load(
                 client.post("/search", body), config.timeout_s * 2
             )
         except asyncio.TimeoutError:
-            counts["timeout"] += 1
+            counts["unanswered"] += 1
             return
         except (OSError, HttpError):
             counts["error"] += 1
@@ -278,6 +288,7 @@ async def run_load(
         ok=counts["ok"],
         shed=counts["shed"],
         timeouts=counts["timeout"],
+        unanswered=counts["unanswered"],
         errors=counts["error"],
         offered_qps=config.qps,
         achieved_qps=counts["ok"] / elapsed,

@@ -16,6 +16,7 @@ killed mid-request; :meth:`ServiceState.close` is the graceful twin.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,21 +81,27 @@ class ServiceState:
         self.content = content
         self.engine_workers = engine_workers
         self._closed = False
-        with span("serve.publish", shards=n_shards):
-            # Published once, held for the process lifetime: the spec
-            # goes to the engine so even fan-out batches attach these
-            # segments instead of re-exporting per call.
-            self.shared_topology = SharedTopology(topology)
-            self.shared_postings = ShardedPostings(
-                partition_postings(content, n_shards)
+        # If anything below raises (the engine refuses a node/peer
+        # mismatch), the stack closes what was already published.
+        with ExitStack() as published:
+            with span("serve.publish", shards=n_shards):
+                # Published once, held for the process lifetime: the spec
+                # goes to the engine so even fan-out batches attach these
+                # segments instead of re-exporting per call.
+                self.shared_topology = published.enter_context(
+                    SharedTopology(topology)
+                )
+                self.shared_postings = published.enter_context(
+                    ShardedPostings(partition_postings(content, n_shards))
+                )
+            self.engine = BatchQueryEngine(
+                topology,
+                content,
+                flood_cache_entries=flood_cache_entries,
+                postings=self.shared_postings.provider,
+                topo_spec=self.shared_topology.spec,
             )
-        self.engine = BatchQueryEngine(
-            topology,
-            content,
-            flood_cache_entries=flood_cache_entries,
-            postings=self.shared_postings.provider,
-            topo_spec=self.shared_topology.spec,
-        )
+            published.pop_all()
         _LOG.info(
             "service state resident: %d nodes, %d instances, %d posting shard(s)",
             topology.n_nodes,

@@ -4,18 +4,25 @@ Expensive artifacts (the calibrated default traces, the content index)
 are session-scoped: they are deterministic pure functions of their
 seeds, so sharing them across tests changes nothing but runtime.
 Small fixtures are built fresh where mutation matters.
+
+Every test runs under :func:`_shm_owners_released`, which fails a test
+that drops a shared-memory owner without ``close()`` or leaves a
+segment in ``/dev/shm`` that no live owner holds.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.experiment import TraceBundle, build_trace_bundle
+from repro.obs import metrics
 from repro.overlay.content import SharedContentIndex
 from repro.overlay.topology import Topology, flat_random, two_tier_gnutella
+from repro.runtime import shm
 from repro.tracegen.catalog import CatalogConfig, MusicCatalog
 from repro.tracegen.gnutella_trace import GnutellaShareTrace, GnutellaTraceConfig
 from repro.tracegen.itunes_trace import ITunesShareTrace, ITunesTraceConfig
@@ -39,6 +46,75 @@ def _isolated_artifact_cache(tmp_path_factory: pytest.TempPathFactory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+_SHM_DIR = "/dev/shm"
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers",
+        "unclosed_owners(n): the test drops n shm owners without close() on purpose",
+    )
+
+
+def _segment_names() -> set[str]:
+    """Segment names ``multiprocessing.shared_memory`` made in ``/dev/shm``."""
+    if not os.path.isdir(_SHM_DIR):
+        return set()
+    return {name for name in os.listdir(_SHM_DIR) if name.startswith("psm_")}
+
+
+def _held_segment_names() -> set[str]:
+    """Segments held by live, unclosed owners in this process."""
+    return {
+        segment.name
+        for owner in list(shm._LIVE_OWNERS)
+        if not owner._closed
+        for segment in owner._segments
+    }
+
+
+@pytest.fixture(autouse=True)
+def _shm_owners_released(request: pytest.FixtureRequest):
+    """Fail the test if it leaked a shared-memory owner or segment.
+
+    Two checks, after the test body:
+
+    * ``shm.unclosed_owners`` moved: the test dropped an owner without
+      ``close()``, and the owner's garbage-collection net closed it;
+    * a ``psm_*`` segment appeared in ``/dev/shm`` that no live,
+      unclosed owner in this process holds.
+
+    Owners held by longer-scoped fixtures (the package-scoped
+    ``serve_state``) stay legal.  A test that drops an owner on purpose
+    declares how many with ``@pytest.mark.unclosed_owners(n)``.
+    """
+    marker = request.node.get_closest_marker("unclosed_owners")
+    expected = marker.args[0] if marker else 0
+    before_count = metrics().counter("shm.unclosed_owners")
+    before_names = _segment_names()
+    yield
+    appeared = _segment_names() - before_names
+    if appeared:
+        # An owner dropped inside a reference cycle is still live until
+        # the collector runs; collect so its net runs in this test.
+        gc.collect()
+        appeared = _segment_names() - before_names
+    problems = []
+    moved = metrics().counter("shm.unclosed_owners") - before_count
+    if moved != expected:
+        problems.append(
+            f"shm.unclosed_owners moved by {moved} (expected {expected}): "
+            "an owner was dropped without close()"
+        )
+    orphans = appeared - _held_segment_names()
+    if orphans:
+        problems.append(
+            f"/dev/shm segments left that no live owner holds: {sorted(orphans)}"
+        )
+    if problems:
+        pytest.fail("; ".join(problems), pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from repro.core.synopsis import (
     _peer_term_pairs,
     run_synopsis_experiment,
 )
+from repro.overlay.content import SharedContentIndex
 from repro.utils.bloom import BloomFilter
 from repro.utils.rng import make_rng
 
@@ -146,6 +147,8 @@ class TestVectorizedBuild:
             _posting_terms=np.array([0, 0, 0, 0, 0, 1, 1, 2, 3, 4]),
             term_index=SimpleNamespace(n_terms=6),
         )
+        # The real pair computation, run over the hand-built arrays.
+        index.peer_terms = SharedContentIndex.peer_terms.func(index)
         scores = np.array([1.0, 0.0, 1.0, 0.0, 2.0, 5.0])
         for include in (None, np.array([True, True, False, True, True])):
             _assert_same_bits(index, scores, capacity, include)

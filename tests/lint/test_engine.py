@@ -35,9 +35,9 @@ def test_parse_pragmas_multiple_codes() -> None:
 
 
 def test_parse_pragmas_captures_reason() -> None:
-    src = "seg = alloc()  # simlint: ignore[SIM012] owner outlives workers\n"
+    src = "rng = derive(seed, 'k')  # simlint: ignore[SIM011] one stream on purpose\n"
     assert parse_pragmas(src) == {
-        1: Pragma(codes=frozenset({"SIM012"}), reason="owner outlives workers")
+        1: Pragma(codes=frozenset({"SIM011"}), reason="one stream on purpose")
     }
 
 

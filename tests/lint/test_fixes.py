@@ -1,8 +1,7 @@
-"""``--fix`` autofixes: SIM012 with-wrap and SIM014 version bumps."""
+"""``--fix`` autofixes: SIM014 version bumps."""
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 import pytest
@@ -11,71 +10,6 @@ from repro.lint import LintConfig, run_lint
 from repro.lint.cli import main
 from repro.lint.fixes import apply_fixes
 from repro.lint.semantic import compute_lock_entries, write_producers_lock
-
-
-def _lint(tree: Path, **config_kwargs):
-    config = LintConfig(root=tree, **config_kwargs)
-    return run_lint([tree], config)
-
-
-def test_sim012_wrap_in_with(tmp_path: Path) -> None:
-    f = tmp_path / "leaky.py"
-    f.write_text(
-        "from repro.runtime.shm import SharedTopology\n"
-        "\n"
-        "def use(topology):\n"
-        "    share = SharedTopology(topology)\n"
-        "    spec = share.spec\n"
-        "    value = spec.n_nodes\n"
-        "    return value\n"
-    )
-    run = _lint(tmp_path, select=frozenset({"SIM012"}))
-    assert len(run.findings) == 1
-    result = apply_fixes(run)
-    assert len(result.fixed) == 1 and not result.skipped
-    fixed = result.new_sources[str(f)]
-    assert "with SharedTopology(topology) as share:" in fixed
-    ast.parse(fixed)  # still valid Python
-    f.write_text(fixed)
-    assert _lint(tmp_path, select=frozenset({"SIM012"})).findings == []
-
-
-def test_sim012_fix_preserves_blank_lines_and_comments(tmp_path: Path) -> None:
-    f = tmp_path / "leaky.py"
-    f.write_text(
-        "from repro.runtime.shm import SharedTopology\n"
-        "\n"
-        "def use(topology):\n"
-        "    share = SharedTopology(topology)\n"
-        "\n"
-        "    # read the spec\n"
-        "    spec = share.spec\n"
-        "    return spec\n"
-    )
-    run = _lint(tmp_path, select=frozenset({"SIM012"}))
-    result = apply_fixes(run)
-    fixed = result.new_sources[str(f)]
-    ast.parse(fixed)
-    assert "        # read the spec" in fixed  # comment moved with the block
-
-
-def test_sim012_multiline_allocation_is_skipped(tmp_path: Path) -> None:
-    f = tmp_path / "leaky.py"
-    f.write_text(
-        "from repro.runtime.shm import SharedTopology\n"
-        "\n"
-        "def use(topology, flag):\n"
-        "    share = SharedTopology(\n"
-        "        topology,\n"
-        "    )\n"
-        "    spec = share.spec\n"
-        "    return spec\n"
-    )
-    run = _lint(tmp_path, select=frozenset({"SIM012"}))
-    assert len(run.findings) == 1
-    result = apply_fixes(run)
-    assert result.new_sources == {}
-    assert result.skipped and "multiple lines" in result.skipped[0][1]
 
 
 @pytest.fixture()

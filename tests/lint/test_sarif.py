@@ -70,9 +70,9 @@ _STRUCTURAL_SCHEMA = {
 
 def _sample_findings() -> list[Diagnostic]:
     return [
-        Diagnostic(path="src/a.py", line=3, col=4, code="SIM010", message="m1"),
-        Diagnostic(path="src/b.py", line=9, col=0, code="SIM012", message="m2"),
-        Diagnostic(path="src/a.py", line=7, col=2, code="SIM010", message="m3"),
+        Diagnostic(path="src/a.py", line=3, col=4, code="SIM011", message="m1"),
+        Diagnostic(path="src/b.py", line=9, col=0, code="SIM013", message="m2"),
+        Diagnostic(path="src/a.py", line=7, col=2, code="SIM011", message="m3"),
     ]
 
 

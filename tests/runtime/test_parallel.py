@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from repro.core.flood_sim import (
 from repro.core.hybrid_eval import HybridEvalConfig, evaluate_hybrid
 from repro.overlay.flooding import reach_fractions
 from repro.overlay.topology import two_tier_gnutella
+from repro.runtime import parallel
 from repro.runtime.parallel import pmap, resolve_workers
-from repro.utils.rng import derive
+from repro.utils.rng import derive, make_rng
 
 
 def _draw(item: float, rng: np.random.Generator) -> np.ndarray:
@@ -150,6 +152,67 @@ class TestPmapEdges:
 
     def test_accepts_iterator(self):
         assert pmap(_identity, iter(range(3)), seed=0, key="e") == [0, 1, 2]
+
+
+def _scaled(item: float, rng: np.random.Generator, *, scale=None) -> float:
+    return item * float(scale.random())
+
+
+def _shifted(shift, item: float, rng: np.random.Generator) -> float:
+    return item + float(shift.random())
+
+
+def _generator_shapes(shared: np.random.Generator) -> dict:
+    """Each way a live generator can reach a task: (fn, items) per shape.
+
+    The first four are the shapes the deleted static rule flagged
+    (docs/static-analysis.md, "Deleted rules"): lambda capture,
+    nested-def capture, the generator as the task, and an alias of a
+    captured generator.
+    """
+
+    def task(item, task_rng):
+        return item + shared.random()
+
+    alias = shared
+    return {
+        "lambda capture": (lambda item, task_rng: item * shared.random(), [1.0, 2.0]),
+        "nested def capture": (task, [1.0, 2.0]),
+        "generator as task": (shared, [1.0, 2.0]),
+        "alias capture": (lambda item, task_rng: item * alias.random(), [1.0, 2.0]),
+        "partial keyword": (partial(_scaled, scale=shared), [1.0, 2.0]),
+        "partial argument": (partial(partial(_shifted, shared)), [1.0, 2.0]),
+        "item": (_identity, [1.0, shared]),
+        "tuple item": (_identity, [(1.0, 2.0), (3.0, shared)]),
+    }
+
+
+class TestLiveGeneratorGuard:
+    """pmap refuses a shared generator before any task or worker runs."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("shape", list(_generator_shapes(make_rng(0))))
+    def test_every_shape_raises_before_any_work(self, shape, n_workers, monkeypatch):
+        shared = make_rng(5)
+        state = shared.bit_generator.state
+        fn, items = _generator_shapes(shared)[shape]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(TypeError, match="live np.random.Generator"):
+            pmap(fn, items, seed=0, key=shape, n_workers=n_workers)
+        assert shared.bit_generator.state == state  # no task drew from it
+
+    def test_tasks_that_use_their_own_generator_run(self):
+        rng = make_rng(5)
+        scale = float(rng.random())  # data drawn from a generator is fine
+        assert pmap(_draw, [1.0], seed=3, key="own", n_workers=1)[0].shape == (4,)
+        assert pmap(
+            lambda item, task_rng: item * scale, [1.0, 2.0],
+            seed=3, key="data", n_workers=1,
+        ) == [scale, 2.0 * scale]
 
 
 def _reach(n_workers: int) -> np.ndarray:

@@ -64,7 +64,7 @@ class TestShardedPostings:
         with ShardedPostings(shard_set, n_shards=4) as share:
             assert len(share.spec.shards) == 4
         with pytest.raises(ValueError, match="n_shards"):
-            ShardedPostings(shard_set, n_shards=5)  # simlint: ignore[SIM012] the constructor raises before it allocates a segment
+            ShardedPostings(shard_set, n_shards=5)
 
     def test_attached_provider_matches_queries(self, content):
         from repro.overlay.content import intersect_postings_batch

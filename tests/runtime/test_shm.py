@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.obs import metrics
 from repro.overlay.content import (
     DensePostings,
     intersect_postings,
@@ -201,6 +202,44 @@ class TestLifecycle:
         _check_owner_refuses_pickling(TOPOLOGY, topo)
 
 
+def _segment_paths(share) -> list[str]:
+    return ["/dev/shm/" + array.name for array in share.spec.arrays()]
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="POSIX shm filesystem required"
+)
+class TestUnclosedOwners:
+    """The garbage-collection net closes a dropped owner and counts it."""
+
+    @pytest.mark.unclosed_owners(2)
+    def test_dropped_owner_is_counted_and_unlinked(self, topo, small_content):
+        for publish in (
+            partial(SharedTopology, topo),
+            partial(ShardedPostings, small_content, n_shards=2),
+        ):
+            before = metrics().counter("shm.unclosed_owners")
+            share = publish()
+            paths = _segment_paths(share)
+            assert all(os.path.exists(path) for path in paths)
+            del share
+            assert metrics().counter("shm.unclosed_owners") - before == 1
+            assert not any(os.path.exists(path) for path in paths)
+
+    def test_closed_owner_is_not_counted(self, topo, small_content):
+        for publish in (
+            partial(SharedTopology, topo),
+            partial(ShardedPostings, small_content, n_shards=2),
+        ):
+            before = metrics().counter("shm.unclosed_owners")
+            share = publish()
+            paths = _segment_paths(share)
+            share.close()
+            del share
+            assert metrics().counter("shm.unclosed_owners") == before
+            assert not any(os.path.exists(path) for path in paths)
+
+
 class TestCrossProcess:
     def test_workers_read_shared_topology(self):
         topo = two_tier_gnutella(600, seed=9)
@@ -217,7 +256,7 @@ class TestCrossProcess:
         # An unpickled owner copy would unlink the segments when a
         # worker dropped it, and the pool would die with them.
         with SharedTopology(topo) as share:
-            paths = ["/dev/shm/" + array.name for array in share.spec.arrays()]
+            paths = _segment_paths(share)
             task = partial(_owner_task, owner=share)
             with pytest.raises(TypeError, match="cannot be pickled"):
                 pmap(task, [0, 1, 2, 3], seed=0, key="shm-owner", n_workers=2)

@@ -127,7 +127,7 @@ class TestLoadReport:
         registry = MetricsRegistry()
         registry.observe_hist("load.latency", 0.004)
         report = LoadReport(
-            sent=10, ok=8, shed=1, timeouts=1, errors=0,
+            sent=10, ok=8, shed=1, timeouts=1, unanswered=0, errors=0,
             offered_qps=50.0, achieved_qps=40.0, duration_s=0.2,
             latency=registry.histogram("load.latency"),
             status_counts={200: 8, 429: 1},
@@ -141,7 +141,7 @@ class TestLoadReport:
 
     def test_rows_without_latency_when_nothing_succeeded(self):
         report = LoadReport(
-            sent=5, ok=0, shed=5, timeouts=0, errors=0,
+            sent=5, ok=0, shed=5, timeouts=0, unanswered=0, errors=0,
             offered_qps=50.0, achieved_qps=0.0, duration_s=0.1,
             latency=MetricsRegistry().histogram("load.latency"),
             status_counts={429: 5},
@@ -174,11 +174,45 @@ class TestLiveRun:
         report = asyncio.run(scenario())
         assert report.sent == config.n_requests
         assert (
-            report.ok + report.shed + report.timeouts + report.errors
-            == report.sent
+            report.ok + report.shed + report.timeouts + report.unanswered
+            + report.errors == report.sent
         )
         # Loopback + warm engine: everything should complete.
         assert report.ok == report.sent
         assert report.latency.count == report.ok
         assert report.achieved_qps > 0
         assert report.duration_s > 0
+
+    def test_stalled_server_counts_unanswered_not_timeouts(self):
+        # A server that reads every request and never replies: each
+        # request outlives twice its timeout on the client side.  That
+        # is a stall, not a server 504.
+        config = LoadConfig(
+            qps=20, duration_s=0.25, profile="uniform", pool_size=2,
+            ttl=3, timeout_s=0.1, seed=1,
+        )
+        stalled: list[asyncio.StreamWriter] = []
+
+        async def never_reply(reader, writer):
+            stalled.append(writer)
+            await reader.readuntil(b"\r\n\r\n")
+
+        async def scenario():
+            server = await asyncio.start_server(never_reply, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await run_load(
+                    "127.0.0.1", port, config,
+                    queries=[["a"], ["b"]], n_nodes=10,
+                )
+            finally:
+                for writer in stalled:
+                    writer.close()
+                server.close()
+                await server.wait_closed()
+
+        report = asyncio.run(scenario())
+        assert report.sent == config.n_requests > 0
+        assert report.unanswered == report.sent
+        assert report.timeouts == 0
+        assert report.as_dict()["unanswered"] == report.sent

@@ -9,6 +9,8 @@ direct single-request engine call encodes to.
 from __future__ import annotations
 
 import asyncio
+import gc
+import os
 import socket
 import threading
 import time
@@ -16,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs import metrics
+from repro.overlay.topology import flat_random
 from repro.serve.http import json_bytes, render_request
 from repro.serve.protocol import (
     MAX_QUERIES_PER_REQUEST,
@@ -184,6 +188,27 @@ class TestGoldenParity:
         assert ps == 200
         assert pbody == serve_state.flood_probe(5, 2)
         assert 0 < pbody["peers_reached"] <= serve_state.n_nodes
+
+
+class TestServiceState:
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="POSIX shm filesystem required"
+    )
+    def test_failed_construction_closes_what_it_published(self, small_content):
+        # The engine refuses a topology one node larger than the trace,
+        # after both owners are published: the state must close them
+        # itself, not leave them to the garbage-collection net.
+        topology = flat_random(small_content.n_peers + 1, 6.0, seed=7)
+        before = metrics().counter("shm.unclosed_owners")
+        segments = set(os.listdir("/dev/shm"))
+        with pytest.raises(ValueError, match="peers") as excinfo:
+            ServiceState(topology, small_content)
+        # The traceback still reaches the half-built state, so only an
+        # explicit close can have unlinked its segments by now.
+        assert set(os.listdir("/dev/shm")) == segments
+        del excinfo
+        gc.collect()
+        assert metrics().counter("shm.unclosed_owners") == before
 
 
 class TestAdmissionControl:
