@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -15,7 +17,19 @@ from repro.core.flood_sim import (
     zipf_replica_counts,
 )
 from repro.core.flood_sim import _success_profile
+from repro.obs import metrics
 from repro.overlay.topology import from_networkx
+
+
+def _curves_digest(result) -> str:
+    """SHA-256 over every curve: label, TTLs, success values as ``float.hex``."""
+    h = hashlib.sha256()
+    for curve in result.curves:
+        h.update(curve.label.encode())
+        h.update(repr(curve.ttls).encode())
+        for value in curve.success:
+            h.update(float(value).hex().encode())
+    return h.hexdigest()
 
 
 class TestZipfReplicaCounts:
@@ -101,6 +115,12 @@ class TestFig8Claims:
         with pytest.raises(KeyError):
             fig8_result.curve("nope")
 
+    def test_curves_pinned(self, fig8_result):
+        """Every success value of the 40k-node run, bit for bit."""
+        assert _curves_digest(fig8_result) == (
+            "50c73982bd2506e6b06bc17cd3ea1a591b5d0375bc8fc625bc53b4d0d9aaccd2"
+        )
+
 
 class TestRuntimeDeterminism:
     """Worker count and cache must never change experiment values."""
@@ -136,6 +156,15 @@ class TestRuntimeDeterminism:
         before = cache_info().n_entries
         run_fig8(FloodSimConfig(**self.SMALL, n_workers=2))
         assert cache_info().n_entries == before
+
+    def test_flood_counters_pinned(self, monkeypatch):
+        """One ``flood.calls`` per evaluated object; messages unchanged."""
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        before = metrics().snapshot()
+        run_fig8(FloodSimConfig(**self.SMALL))
+        delta = metrics().delta_since(before)
+        assert delta.counter("flood.calls") == 36
+        assert delta.counter("flood.messages") == 52_184
 
     def test_run_flood_success_worker_count_independent(self):
         from repro.core.experiment import build_fig8_topology

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.core.experiment import Fig8TopologyConfig
 from repro.core.hybrid_eval import HybridEvalConfig, evaluate_hybrid
 
 
@@ -45,3 +49,22 @@ class TestHybridClaims:
         rows = result.as_rows()
         assert len(rows) == 10
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in rows)
+
+
+def test_small_config_pinned():
+    """Every field on the 2k-node config, floats as ``float.hex``."""
+    result = evaluate_hybrid(
+        HybridEvalConfig(
+            topology=Fig8TopologyConfig(n_nodes=2_000),
+            n_eval_objects=6,
+            n_flood_probes=4,
+            dht_lookup_samples=10,
+        )
+    )
+    h = hashlib.sha256()
+    for f in dataclasses.fields(result):
+        v = getattr(result, f.name)
+        h.update(f"{f.name}={v.hex() if isinstance(v, float) else repr(v)};".encode())
+    assert h.hexdigest() == (
+        "ca3c18c6251976834b20bd16bc788b4a4b9d84f5a3d88841ed104e2d797904ba"
+    )

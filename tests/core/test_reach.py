@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ class TestReachMechanics:
             ReachConfig(ttls=(1, 2, 3), n_sources=10), topology=small_two_tier
         )
         assert res.n_nodes == small_two_tier.n_nodes
+
+    def test_default_fractions_pinned(self):
+        """``measure_reach()``'s fractions, bit for bit."""
+        h = hashlib.sha256()
+        for value in measure_reach().fractions:
+            h.update(float(value).hex().encode())
+        assert h.hexdigest() == (
+            "afc117bd6e2ab500053066819cfe40fe1d57ddcbe9618d1f747c57a000d579a4"
+        )
 
     def test_deterministic(self):
         cfg = ReachConfig(

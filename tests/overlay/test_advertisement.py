@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,3 +104,24 @@ class TestSimulation:
             small_workload, small_content, max_queries=500, seed=5
         )
         assert a == b
+
+    def test_reports_pinned(self, small_workload, small_content):
+        """Every ``AdReport`` field, per policy at two capacities, bit for bit."""
+        h = hashlib.sha256()
+        for policy in ("content", "query"):
+            for capacity in (8, 32):
+                report = simulate_advertisement(
+                    small_workload,
+                    small_content,
+                    AdvertisementConfig(policy=policy, ad_capacity=capacity, fanout=15),
+                    max_queries=1_200,
+                    seed=2,
+                )
+                for f in dataclasses.fields(report):
+                    v = getattr(report, f.name)
+                    h.update(
+                        f"{f.name}={v.hex() if isinstance(v, float) else repr(v)};".encode()
+                    )
+        assert h.hexdigest() == (
+            "23e865549cb2ae61bab0b4db7bbf32024eb294bfec585946ee8cec16b387960c"
+        )
