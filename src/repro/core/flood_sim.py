@@ -8,11 +8,15 @@ curve hugs the *lowest* uniform-replication curve, because the median
 object has ~1 replica no matter how fat the head is.
 
 Implementation note: instead of flooding from every candidate source,
-we run one multi-source BFS *from the replica set* per evaluated
+we run one multi-source flood *from the replica set* per evaluated
 object.  On an undirected topology with forwarding interiors, a source
 ``s`` finds a replica within TTL ``t`` iff ``depth(s) <= t`` in that
-BFS — so a single BFS yields the success probability over all sources
-and all TTLs at once.
+flood — so one flood yields the success probability over all sources
+and all TTLs at once, and only its per-hop count of newly reached
+ultrapeers matters.  :func:`~repro.overlay.flooding.flood_level_counts`
+yields exactly those counts for 64 replica sets per pass over the
+topology (one bit per flood), so a curve's floods run as a few such
+passes instead of one BFS each.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import numpy as np
 
 from repro.core.experiment import Fig8TopologyConfig, build_fig8_topology
 from repro.obs import span
-from repro.overlay.flooding import flood_depths
+# flood_depths is no longer called here; the name stays bound because
+# perfbench/tracing.py wraps this module's attribute.
+from repro.overlay.flooding import flood_depths, flood_level_counts
 from repro.overlay.topology import Topology
 from repro.runtime.cache import cached_call, config_digest
 from repro.runtime.parallel import pmap, resolve_workers
@@ -160,24 +166,30 @@ class FloodSimResult:
         raise KeyError(label)
 
 
-def _success_profile(
-    topology: Topology, replicas: np.ndarray, max_ttl: int
+def _success_profiles(
+    topology: Topology, replica_sets: list[np.ndarray], max_ttl: int
 ) -> np.ndarray:
     """P(flood from a random ultrapeer source finds a replica) per TTL.
 
-    One multi-source BFS from the replica set: a source succeeds at
-    TTL ``t`` when its depth is within ``t``.  Sources already holding
-    a replica are excluded (they would not search for it).
+    One row per replica set, from one lane flood from that set: a
+    source succeeds at TTL ``t`` when its depth is within ``t``.
+    Sources already holding a replica are excluded (they would not
+    search for it): they are the ultrapeers the flood reaches at hop 0.
     """
-    depth, _ = flood_depths(topology, replicas, max_ttl)
-    eligible = topology.forwards.copy()
-    eligible[replicas] = False
-    n_sources = int(eligible.sum())
-    if n_sources == 0:
+    found = flood_level_counts(
+        topology, replica_sets, max_ttl, among=topology.forwards
+    )
+    n_sources = int(np.count_nonzero(topology.forwards)) - found[:, :1]
+    if not n_sources.all():
         raise ValueError("no eligible query sources")
-    d = depth[eligible]
-    found_at = np.bincount(d[d >= 1], minlength=max_ttl + 1)
-    return np.cumsum(found_at)[1:] / n_sources  # index t-1 => TTL t
+    return np.cumsum(found[:, 1:], axis=1) / n_sources  # column t-1 => TTL t
+
+
+def _success_profile(
+    topology: Topology, replicas: np.ndarray, max_ttl: int
+) -> np.ndarray:
+    """:func:`_success_profiles` of a single replica set."""
+    return _success_profiles(topology, [replicas], max_ttl)[0]
 
 
 def _sample_objects(
@@ -197,20 +209,20 @@ def _sample_objects(
     return perm[rng.choice(counts.size, size=n_eval, p=q)]
 
 
-def _profile_task(
-    replicas: np.ndarray,
+def _profiles_task(
+    replica_sets: list[np.ndarray],
     *,
     spec: SharedTopologySpec,
     max_ttl: int,
 ) -> np.ndarray:
-    """Worker task: one multi-source BFS against the shared topology.
+    """Worker task: one chunk of floods against the shared topology.
 
-    The flood is a pure function of the (pre-drawn) replica set — the
-    replica placement randomness stays on the coordinator's stream,
+    The floods are a pure function of the (pre-drawn) replica sets —
+    the replica placement randomness stays on the coordinator's stream,
     which is what makes serial and parallel runs bitwise-identical — so
     the task runs with ``needs_rng=False``.
     """
-    return _success_profile(attach_topology(spec), replicas, max_ttl)
+    return _success_profiles(attach_topology(spec), replica_sets, max_ttl)
 
 
 def run_flood_success(
@@ -228,11 +240,14 @@ def run_flood_success(
     All placement randomness is drawn up front on a single stream
     derived from ``seed`` (exactly the stream the serial implementation
     consumed); with ``n_workers > 1`` (or 0, one per CPU) only the
-    deterministic per-object floods fan out, reading the topology from
-    shared memory.  Pass a pre-published ``shared`` handle to amortize
-    the segment copy across several curves on the same topology.
+    deterministic per-object floods fan out, as that many contiguous
+    chunks reading the topology from shared memory.  Pass a
+    pre-published ``shared`` handle to amortize the segment copy across
+    several curves on the same topology.
     """
     workers = resolve_workers(n_workers)
+    if n_eval_objects < 1:
+        raise ValueError(f"n_eval_objects must be positive, got {n_eval_objects}")
     rng = derive(seed, "floodsim", spec.label())
     max_ttl = int(max(ttls))
     n = topology.n_nodes
@@ -244,18 +259,24 @@ def run_flood_success(
         sizes = counts[objects]
     replica_sets = [rng.choice(n, size=min(int(s), n), replace=False) for s in sizes]
     if workers == 1 or len(replica_sets) <= 1:
-        profiles = [_success_profile(topology, r, max_ttl) for r in replica_sets]
+        profiles = _success_profiles(topology, replica_sets, max_ttl)
     else:
+        bounds = np.linspace(0, len(replica_sets), workers + 1).astype(np.int64)
+        chunks = [
+            replica_sets[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
+        ]
         share = SharedTopology(topology) if shared is None else shared
         try:
-            task = partial(_profile_task, spec=share.spec, max_ttl=max_ttl)
-            profiles = pmap(
-                task,
-                replica_sets,
-                seed=seed,
-                key=f"floodsim-bfs/{spec.label()}",
-                n_workers=workers,
-                needs_rng=False,
+            task = partial(_profiles_task, spec=share.spec, max_ttl=max_ttl)
+            profiles = np.concatenate(
+                pmap(
+                    task,
+                    chunks,
+                    seed=seed,
+                    key=f"floodsim-bfs/{spec.label()}",
+                    n_workers=workers,
+                    needs_rng=False,
+                )
             )
         finally:
             if shared is None:

@@ -11,11 +11,17 @@ level is one CSR gather, and duplicate suppression runs on boolean
 masks (a ``visited`` map plus a reusable per-level scratch mask)
 instead of sorting the frontier with ``np.unique`` — the sort was the
 kernel's hot spot at the 40k-node Fig. 8 scale.
+
+Experiments that need only how many nodes each flood first reaches
+per hop (Fig. 8 success curves, the reach table) run
+:func:`flood_level_counts` instead: one bit per flood in a ``uint64``
+word per node, so one pass over the CSR advances 64 floods.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,6 +39,7 @@ __all__ = [
     "flood",
     "flood_depths",
     "flood_depths_batch",
+    "flood_level_counts",
     "reach_fractions",
 ]
 
@@ -187,6 +194,168 @@ def _levels(
     finally:
         scratch_release(level_mask)
     return depth, level_messages, level_new
+
+
+#: Floods per lane word: flood ``i`` of a pass owns bit ``i`` of a
+#: ``uint64`` per node.
+LANE_WIDTH = 64
+
+#: ``0x0101...01``: the low bit of each of a word's eight bytes.
+_LOW_BITS = np.uint64(0x0101010101010101)
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each unsigned word, as int64.
+
+    The SWAR sum (bit pairs, nibbles, bytes, then one multiply that
+    adds the eight byte counts into the top byte): plain numpy >= 1.24
+    arithmetic, no ``bitwise_count``.
+    """
+    words = words.astype(np.uint64)
+    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    words = (words & np.uint64(0x3333333333333333)) + (
+        (words >> np.uint64(2)) & np.uint64(0x3333333333333333)
+    )
+    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((words * _LOW_BITS) >> np.uint64(56)).astype(np.int64)
+
+
+def _lane_totals(words: np.ndarray) -> np.ndarray:
+    """How many of the unsigned ``words`` have each bit set: 64 counts.
+
+    ``(w >> j) & _LOW_BITS`` moves bit ``8 * b + j`` of ``w`` to the low
+    bit of byte ``b``.  A sum of at most 255 such words cannot carry
+    from one byte into the next, so each uint64 add counts eight lanes.
+    """
+    words = words[words != 0]
+    blocks = np.zeros(-(-words.size // 255) * 255, dtype=np.uint64)
+    blocks[: words.size] = words
+    blocks = blocks.reshape(-1, 255)
+    totals = np.empty((8, 8), dtype=np.int64)  # [j, b] counts lane 8 * b + j
+    for j in range(8):
+        sums = ((blocks >> np.uint64(j)) & _LOW_BITS).sum(axis=1, dtype=np.uint64)
+        totals[j] = sums.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).sum(axis=0)
+    return totals.T.ravel()
+
+
+def _pull(
+    send: np.ndarray, neighbors: np.ndarray, rows: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Each node's OR of its neighbors' ``send`` words.
+
+    Reads every edge.  ``rows`` are the nodes with edges and ``starts``
+    their first CSR entries; the CSR is symmetric, so a node's row
+    lists exactly the senders it hears.
+    """
+    recv = np.zeros(send.size, dtype=send.dtype)
+    recv[rows] = np.bitwise_or.reduceat(send[neighbors], starts)
+    return recv
+
+
+def _push(
+    send: np.ndarray,
+    active: np.ndarray,
+    lengths: np.ndarray,
+    offsets: np.ndarray,
+    neighbors: np.ndarray,
+) -> np.ndarray:
+    """:func:`_pull`'s result, read along the ``active`` senders' edges only.
+
+    ``active`` must hold every node with a nonzero ``send`` word, and
+    ``lengths`` their degrees.
+    """
+    recv = np.zeros(send.size, dtype=send.dtype)
+    gather = np.repeat(offsets[active], lengths) + ragged_arange(lengths)
+    np.bitwise_or.at(recv, neighbors[gather], np.repeat(send[active], lengths))
+    return recv
+
+
+def flood_level_counts(
+    topology: Topology,
+    source_sets: Sequence[np.ndarray],
+    max_depth: int,
+    *,
+    among: np.ndarray | None = None,
+) -> np.ndarray:
+    """Nodes first reached per hop by many lossless floods, 64 per pass.
+
+    Flood ``i`` starts from every node of ``source_sets[i]`` and relays
+    by the :func:`flood_depths` rules.  Entry ``[i, d]`` of the
+    ``(len(source_sets), max_depth + 1)`` int64 result counts the nodes
+    of the boolean mask ``among`` (every node when ``None``) that flood
+    ``i`` first reaches at hop ``d``: the ``bincount`` of that flood's
+    :func:`flood_depths` depth map over ``among``.  The ``flood.calls``
+    and ``flood.messages`` counters move as that many
+    :func:`flood_depths` calls would move them.
+
+    Each flood owns one bit of a word per node (Then et al., "The More
+    the Merrier", PVLDB 2014): a pass runs 64 floods in ``uint64``
+    words, or fewer in the narrowest word that holds them.  Per level,
+    ``send`` is the frontier (every source emits at hop 1; later only
+    forwarders relay), and a node receives the OR of its neighbors'
+    ``send`` words.  The CSR is symmetric, so that is a pull over every
+    row with edges; when the senders' edges are under a quarter of the
+    CSR it is cheaper to push along only those edges (Beamer et al.'s
+    direction-optimizing BFS, SC 2012).  Lanes never interact, so the
+    counts do not depend on how floods are grouped into words.
+    """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+    n = topology.n_nodes
+    # Plain ndarray views: np.memmap's indexing overhead stays out of
+    # the loop.
+    offsets = np.asarray(topology.offsets)
+    neighbors = np.asarray(topology.neighbors)
+    forwards = np.asarray(topology.forwards, dtype=bool)
+    degree = np.diff(offsets)
+    # reduceat indices: the first edge of every row that has edges.  A
+    # row's run then ends at the next such row, or at the end of the
+    # CSR, so edgeless rows (and an edgeless graph) need no clipping.
+    rows = np.flatnonzero(degree)
+    starts = offsets[rows]
+    counted = slice(None) if among is None else np.flatnonzero(among)
+    counts = np.zeros((len(source_sets), max_depth + 1), dtype=np.int64)
+    messages = 0
+    for lo in range(0, len(source_sets), LANE_WIDTH):
+        lanes = [
+            np.atleast_1d(np.asarray(s, dtype=np.int64))
+            for s in source_sets[lo : lo + LANE_WIDTH]
+        ]
+        # The narrowest unsigned word that holds this pass's lanes: a
+        # pass of 8 floods scans one byte per node, not eight.
+        word = np.min_scalar_type((1 << len(lanes)) - 1)
+        bits = np.left_shift(
+            word.type(1),
+            np.repeat(np.arange(len(lanes), dtype=word), [s.size for s in lanes]),
+        )
+        frontier = np.zeros(n, dtype=word)
+        np.bitwise_or.at(frontier, np.concatenate(lanes), bits)
+        visited = frontier
+        block = counts[lo : lo + len(lanes)]
+        block[:, 0] = _lane_totals(frontier[counted])[: len(lanes)]
+        for level in range(1, max_depth + 1):
+            live = frontier != 0
+            if level > 1:
+                live &= forwards  # past hop 1, only forwarders relay
+            active = np.flatnonzero(live)
+            lengths = degree[active]
+            edges = int(lengths.sum(dtype=np.int64))
+            if edges == 0:
+                break
+            send = np.where(live, frontier, 0)
+            messages += int(lengths @ _popcounts(send[active]))
+            if 4 * edges >= neighbors.size:
+                recv = _pull(send, neighbors, rows, starts)
+            else:
+                recv = _push(send, active, lengths, offsets, neighbors)
+            seen = visited | recv
+            frontier = seen ^ visited
+            visited = seen
+            block[:, level] = _lane_totals(frontier[counted])[: len(lanes)]
+    registry = metrics()
+    registry.inc("flood.calls", len(source_sets))
+    registry.inc("flood.messages", messages)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -368,27 +537,28 @@ def flood(
     return FloodResult(source=source, ttl=ttl, depth=depth, messages=messages)
 
 
-def _reach_row(topology: Topology, source: int, ttls: np.ndarray, max_ttl: int) -> np.ndarray:
-    """Per-TTL reach fractions of one source's flood."""
-    depth, _ = flood_depths(topology, source, max_ttl)
-    reached = depth[depth >= 0]
-    level_counts = np.bincount(reached, minlength=max_ttl + 1)
-    cum = np.cumsum(level_counts)
-    # Exclude the source itself from "peers reached".
-    return (cum[ttls] - 1) / topology.n_nodes
+def _reach_rows(
+    topology: Topology, sources: np.ndarray, ttls: np.ndarray, max_ttl: int
+) -> np.ndarray:
+    """Per-TTL reach fractions of each source's flood, one row per source."""
+    cum = np.cumsum(flood_level_counts(topology, sources[:, None], max_ttl), axis=1)
+    # Exclude the source itself from "peers reached".  C order keeps
+    # the mean over sources summing row after row: on a column-major
+    # array numpy sums each column pairwise, which rounds differently.
+    return np.ascontiguousarray((cum[:, ttls] - 1) / topology.n_nodes)
 
 
-def _reach_row_task(source: int, *, spec, ttls, max_ttl):
-    """Worker task: attach the shared topology, compute one row.
+def _reach_rows_task(sources: np.ndarray, *, spec, ttls, max_ttl):
+    """Worker task: attach the shared topology, flood one chunk of sources.
 
     A lossless flood is a pure function of its source, so the task is
-    registered with ``needs_rng=False`` — no per-row seed derivation,
+    registered with ``needs_rng=False`` — no per-chunk seed derivation,
     and no unused ``rng`` parameter inviting misuse.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
     from repro.runtime.shm import attach_topology
 
-    return _reach_row(attach_topology(spec), int(source), ttls, max_ttl)
+    return _reach_rows(attach_topology(spec), sources, ttls, max_ttl)
 
 
 def reach_fractions(
@@ -400,14 +570,14 @@ def reach_fractions(
 ) -> np.ndarray:
     """Mean fraction of nodes reached per TTL, averaged over sources.
 
-    One BFS per source computes every TTL at once (TTL ``t`` reach is
-    the number of nodes at depth <= ``t``).  This regenerates the
-    paper's §V reach table (0.05% @ TTL 1 ... 82.95% @ TTL 5).
+    One lane flood per source computes every TTL at once (TTL ``t``
+    reach is the number of nodes at depth <= ``t``).  This regenerates
+    the paper's §V reach table (0.05% @ TTL 1 ... 82.95% @ TTL 5).
 
-    ``n_workers > 1`` (or 0, one per CPU) fans the per-source floods
-    out over a process pool (the topology travels via shared memory);
-    the result is bitwise-identical to the serial run because each
-    flood is a pure function of its source.
+    ``n_workers > 1`` (or 0, one per CPU) splits the sources into that
+    many contiguous chunks, one per process-pool task (the topology
+    travels via shared memory); the result is bitwise-identical to the
+    serial run because each flood is a pure function of its source.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
     from repro.runtime.parallel import pmap, resolve_workers
@@ -417,18 +587,24 @@ def reach_fractions(
     if ttls.size == 0:
         raise ValueError("need at least one TTL")
     max_ttl = int(ttls.max())
-    source_list = [int(s) for s in np.asarray(sources, dtype=np.int64)]
-    if workers == 1 or len(source_list) <= 1:
-        rows = [_reach_row(topology, s, ttls, max_ttl) for s in source_list]
+    sources = np.asarray(sources, dtype=np.int64).ravel()
+    if sources.size == 0:
+        raise ValueError("sources must name at least one node")
+    if workers == 1 or sources.size <= 1:
+        rows = _reach_rows(topology, sources, ttls, max_ttl)
     else:
         from repro.runtime.shm import SharedTopology
 
+        bounds = np.linspace(0, sources.size, workers + 1).astype(np.int64)
+        chunks = [sources[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         with SharedTopology(topology) as share:
             task = partial(
-                _reach_row_task, spec=share.spec, ttls=ttls, max_ttl=max_ttl
+                _reach_rows_task, spec=share.spec, ttls=ttls, max_ttl=max_ttl
             )
-            rows = pmap(
-                task, source_list,
-                seed=0, key="reach", n_workers=workers, needs_rng=False,
+            rows = np.concatenate(
+                pmap(
+                    task, chunks,
+                    seed=0, key="reach", n_workers=workers, needs_rng=False,
+                )
             )
-    return np.stack(rows).mean(axis=0)
+    return rows.mean(axis=0)

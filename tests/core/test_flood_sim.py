@@ -68,6 +68,10 @@ class TestSuccessProfileExact:
         with pytest.raises(ValueError, match="sources"):
             _success_profile(ring_topology, np.arange(12), 2)
 
+    def test_no_objects_raises(self, ring_topology):
+        with pytest.raises(ValueError, match="n_eval_objects"):
+            run_flood_success(ring_topology, PlacementSpec(), n_eval_objects=0)
+
 
 @pytest.fixture(scope="module")
 def fig8_result():

@@ -11,6 +11,7 @@ from repro.overlay.flooding import (
     flood,
     flood_depths,
     flood_depths_batch,
+    flood_level_counts,
     reach_fractions,
 )
 from repro.overlay.topology import from_networkx
@@ -173,6 +174,44 @@ class TestReachFractions:
     def test_empty_ttls_raise(self, ring_topology):
         with pytest.raises(ValueError, match="TTL"):
             reach_fractions(ring_topology, np.array([0]), [])
+
+    def test_no_sources_raise(self, ring_topology):
+        with pytest.raises(ValueError, match="sources"):
+            reach_fractions(ring_topology, np.array([], dtype=np.int64), [1, 2])
+
+
+class TestFloodLevelCounts:
+    def test_ring_counts(self, ring_topology):
+        counts = flood_level_counts(ring_topology, [np.array([0]), np.array([0, 6])], 3)
+        np.testing.assert_array_equal(counts, [[1, 2, 2, 2], [2, 4, 4, 2]])
+
+    def test_among_restricts_counting(self, ring_topology):
+        among = np.zeros(12, dtype=bool)
+        among[[0, 1, 2, 3]] = True
+        counts = flood_level_counts(ring_topology, [np.array([0])], 3, among=among)
+        np.testing.assert_array_equal(counts, [[1, 1, 1, 1]])
+
+    def test_edgeless_graph(self):
+        topo = from_networkx(nx.empty_graph(5))
+        counts = flood_level_counts(topo, [np.array([1]), np.array([0, 4])], 3)
+        np.testing.assert_array_equal(counts, [[1, 0, 0, 0], [2, 0, 0, 0]])
+
+    def test_last_row_before_isolated_tail_keeps_its_edges(self):
+        # Node 3's row, [1, 2], is the last with edges; nodes 4 and 5
+        # are isolated.  Node 2 reaches node 3 through that row's last
+        # edge, which a reduceat over clipped row offsets would drop.
+        g = nx.Graph([(0, 1), (1, 2), (1, 3), (2, 3)])
+        g.add_nodes_from([4, 5])
+        topo = from_networkx(g)
+        counts = flood_level_counts(topo, [np.array([2]), np.array([0])], 3)
+        np.testing.assert_array_equal(counts, [[1, 2, 1, 0], [1, 1, 2, 0]])
+
+    def test_no_floods(self, ring_topology):
+        assert flood_level_counts(ring_topology, [], 2).shape == (0, 3)
+
+    def test_negative_depth_raises(self, ring_topology):
+        with pytest.raises(ValueError, match="max_depth"):
+            flood_level_counts(ring_topology, [np.array([0])], -1)
 
 
 class TestLossyFlooding:

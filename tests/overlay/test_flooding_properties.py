@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.flooding import flood, flood_depths
+from repro.obs import metrics
+from repro.overlay.flooding import (
+    _pull,
+    _push,
+    flood,
+    flood_depths,
+    flood_level_counts,
+)
 from repro.overlay.topology import from_networkx
+from repro.utils.rng import make_rng
 
 
 @st.composite
@@ -80,3 +88,78 @@ class TestFloodingProperties:
             assert messages == 0
         else:
             assert messages > 0
+
+
+@st.composite
+def csr_graphs(draw):
+    """Random graphs with isolated nodes anywhere, edgeless ones included."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    g = nx.gnp_random_graph(n, p, seed=draw(st.integers(0, 10_000)))
+    # Isolate some nodes: a trailing run (the last row before it keeps
+    # its edges) and single nodes in the middle.
+    trailing = draw(st.integers(0, n // 3))
+    isolated = set(range(n - trailing, n)) | draw(
+        st.sets(st.integers(0, n - 1), max_size=3)
+    )
+    g.remove_edges_from(list(g.edges(isolated)))
+    for v in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        g.nodes[v]["forwards"] = False
+    return from_networkx(g)
+
+
+class TestLaneKernel:
+    """``flood_level_counts`` against one ``flood_depths`` per flood."""
+
+    @given(
+        topo=csr_graphs(),
+        # 1, 9 and 20 floods fill uint8, uint16 and uint32 words; 130 makes
+        # three passes, the last of two floods.
+        n_floods=st.sampled_from([1, 9, 20, 63, 64, 65, 130]),
+        max_depth=st.integers(0, 6),
+        seed=st.integers(0, 10_000),
+        restrict=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_flood_bincount(self, topo, n_floods, max_depth, seed, restrict):
+        rng = make_rng(seed)
+        # 0-3 sources per flood, repeats and empty sets included.
+        source_sets = [
+            rng.integers(0, topo.n_nodes, size=int(rng.integers(0, 4)))
+            for _ in range(n_floods)
+        ]
+        among = rng.random(topo.n_nodes) < 0.5 if restrict else None
+        before = metrics().snapshot()
+        got = flood_level_counts(topo, source_sets, max_depth, among=among)
+        delta = metrics().delta_since(before)
+        assert got.shape == (n_floods, max_depth + 1)
+        assert got.dtype == np.int64
+        total_messages = 0
+        for i, sources in enumerate(source_sets):
+            depth, messages = flood_depths(topo, sources, max_depth)
+            total_messages += messages
+            kept = depth if among is None else depth[among]
+            expected = np.bincount(kept[kept >= 0], minlength=max_depth + 1)
+            np.testing.assert_array_equal(got[i], expected)
+        assert delta.counter("flood.calls") == n_floods
+        assert delta.counter("flood.messages") == total_messages
+
+    @given(topo=csr_graphs(), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_push_equals_pull(self, topo, seed):
+        rng = make_rng(seed)
+        send = rng.integers(0, 2**64, size=topo.n_nodes, dtype=np.uint64)
+        send[rng.random(topo.n_nodes) < 0.5] = 0
+        offsets = topo.offsets
+        degree = np.diff(offsets)
+        rows = np.flatnonzero(degree)
+        active = np.flatnonzero(send)
+        pulled = _pull(send, topo.neighbors, rows, offsets[rows])
+        pushed = _push(send, active, degree[active], offsets, topo.neighbors)
+        np.testing.assert_array_equal(pushed, pulled)
+        # Spot-check the OR itself on every node.
+        for v in range(topo.n_nodes):
+            expected = np.bitwise_or.reduce(
+                send[topo.neighbors_of(v)], initial=np.uint64(0)
+            )
+            assert pulled[v] == expected
