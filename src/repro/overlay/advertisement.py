@@ -137,11 +137,7 @@ def simulate_advertisement(
 
     # Providers advertise their top-capacity terms by score.
     store = AdStore(n_peers)
-    terms_flat = content._posting_terms
-    peers_flat = content.instance_peer[content._posting_instances]
-    pairs = np.unique(peers_flat.astype(np.int64) * n_terms + terms_flat)
-    peer_of = pairs // n_terms
-    term_of = pairs % n_terms
+    peer_of, term_of = content.peer_terms
     boundaries = np.searchsorted(peer_of, np.arange(n_peers + 1))
     for p in range(n_peers):
         terms = term_of[boundaries[p] : boundaries[p + 1]]

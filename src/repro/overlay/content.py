@@ -717,7 +717,8 @@ class SharedContentIndex:
 
         Two int64 arrays, ``(peer, term)``.  Computed on first use and
         kept (never pickled): the mismatch and synopsis experiments
-        both read it within one report.
+        both read it within one report, and the advertisement
+        simulation reads each peer's terms from it.
         """
         n_terms = self.term_index.n_terms
         pairs = np.unique(
