@@ -47,17 +47,11 @@ DEFAULT_EXCLUDE = ("*/.git/*", "*/__pycache__/*", "*/build/*", "*/dist/*")
 
 # SIM011: deterministic fan-out entry points whose ``key=`` constants
 # span the task streams (key, 0), (key, 1), ...
-DEFAULT_PARALLEL_MAPS = (
-    "repro.runtime.parallel.pmap",
-    "repro.runtime.parallel.parallel_map",
-)
+DEFAULT_PARALLEL_MAPS = ("repro.runtime.parallel.pmap",)
 
 # SIM013/SIM014: the artifact-cache registrar whose compute callables
 # must be pure functions of their cache key.
-DEFAULT_CACHE_REGISTRARS = (
-    "repro.runtime.cache.cached_call",
-    "repro.runtime.cache.cached",
-)
+DEFAULT_CACHE_REGISTRARS = ("repro.runtime.cache.cached_call",)
 
 # SIM011: the named-stream derivation whose constant key tuples must be
 # unique per experiment entry point.

@@ -6,11 +6,17 @@ and a pragma check (the SIM01x family refuses reason-less pragmas).
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import pytest
 
 from repro.lint import LintConfig, lint_file, run_lint
+from repro.lint.config import (
+    DEFAULT_CACHE_REGISTRARS,
+    DEFAULT_DERIVE_FUNCTIONS,
+    DEFAULT_PARALLEL_MAPS,
+)
 from repro.lint.semantic import (
     LockEntry,
     compute_lock_entries,
@@ -24,6 +30,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def _codes(path: Path, code: str) -> list[int]:
     config = LintConfig(select=frozenset({code}))
     return [d.line for d in lint_file(path, config)]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [*DEFAULT_PARALLEL_MAPS, *DEFAULT_CACHE_REGISTRARS, *DEFAULT_DERIVE_FUNCTIONS],
+)
+def test_default_entry_points_exist(target: str) -> None:
+    """Every default the project rules resolve calls against is defined."""
+    module, _, name = target.rpartition(".")
+    assert callable(getattr(importlib.import_module(module), name, None)), target
 
 
 # -- SIM011 -----------------------------------------------------------
