@@ -20,7 +20,7 @@ from conftest import peak_rss_bytes
 from repro.dht.chord import ChordRing
 from repro.overlay.batch import BatchQueryEngine
 from repro.overlay.content import intersect_postings, intersect_postings_batch
-from repro.overlay.flooding import flood_depths
+from repro.overlay.flooding import flood_depths, flood_level_counts
 from repro.overlay.network import UnstructuredNetwork
 from repro.overlay.topology import two_tier_gnutella
 from repro.utils.bloom import BloomFilter
@@ -111,6 +111,65 @@ def test_perf_flood_success_curve(benchmark):
         seed=0,
     )
     assert curve.success.size == 5
+
+
+def test_perf_fig8_floods(benchmark):
+    """The 480 floods of perfbench's Fig. 8 run: lane kernel vs one BFS each.
+
+    6 curves x 80 replica sets on the 40k-node topology at TTL 5, the
+    sets ``run_fig8(FloodSimConfig(n_eval_objects=80))`` draws.  The
+    lane kernel must stay at least 3x faster than looping
+    ``flood_depths`` over the same sets, and count what that loop's
+    depth maps count.
+    """
+    from repro.core.experiment import build_fig8_topology
+    from repro.core.flood_sim import FloodSimConfig, PlacementSpec, _replica_sets
+
+    cfg = FloodSimConfig(n_eval_objects=80)
+    topo = build_fig8_topology(cfg.topology)
+    specs = [cfg.zipf] + [
+        PlacementSpec(kind="uniform", n_replicas=r) for r in cfg.uniform_replicas
+    ]
+    max_ttl = max(cfg.ttls)
+    replica_sets = [
+        sets
+        for spec in specs
+        for sets in _replica_sets(spec, topo.n_nodes, cfg.n_eval_objects, cfg.seed)
+    ]
+
+    def lanes():
+        # One kernel call per curve, as run_flood_success makes.
+        return np.concatenate([
+            flood_level_counts(topo, replica_sets[lo : lo + cfg.n_eval_objects],
+                               max_ttl, among=topo.forwards)
+            for lo in range(0, len(replica_sets), cfg.n_eval_objects)
+        ])
+
+    counts = benchmark.pedantic(lanes, rounds=3, iterations=1)
+    lane_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        lanes()
+        lane_s = min(lane_s, time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    for sources in replica_sets:
+        flood_depths(topo, sources, max_ttl)
+    per_flood_s = time.perf_counter() - t0
+
+    assert counts.shape == (480, max_ttl + 1)
+    for i in (0, 240, 479):
+        depth, _ = flood_depths(topo, replica_sets[i], max_ttl)
+        d = depth[topo.forwards]
+        np.testing.assert_array_equal(
+            counts[i], np.bincount(d[d >= 0], minlength=max_ttl + 1)
+        )
+    speedup = per_flood_s / lane_s
+    benchmark.extra_info["floods"] = len(replica_sets)
+    benchmark.extra_info["per_flood_s"] = round(per_flood_s, 3)
+    benchmark.extra_info["speedup_vs_per_flood"] = round(speedup, 1)
+    print(f"\n480 Fig. 8 floods: per-flood {per_flood_s:.2f}s, "
+          f"lanes {lane_s:.3f}s, speedup {speedup:.1f}x")
+    assert speedup >= 3.0
 
 
 def test_perf_to_networkx(benchmark):

@@ -209,6 +209,22 @@ def _sample_objects(
     return perm[rng.choice(counts.size, size=n_eval, p=q)]
 
 
+def _replica_sets(
+    spec: PlacementSpec, n_nodes: int, n_eval_objects: int, seed: int
+) -> list[np.ndarray]:
+    """Each evaluated object's replica set, drawn on the curve's stream."""
+    rng = derive(seed, "floodsim", spec.label())
+    if spec.kind == "uniform":
+        sizes = np.full(n_eval_objects, spec.n_replicas, dtype=np.int64)
+    else:
+        counts = zipf_replica_counts(spec.universe, spec.exponent, spec.mean_replicas)
+        objects = _sample_objects(spec, counts, n_eval_objects, rng)
+        sizes = counts[objects]
+    return [
+        rng.choice(n_nodes, size=min(int(s), n_nodes), replace=False) for s in sizes
+    ]
+
+
 def _profiles_task(
     replica_sets: list[np.ndarray],
     *,
@@ -248,16 +264,8 @@ def run_flood_success(
     workers = resolve_workers(n_workers)
     if n_eval_objects < 1:
         raise ValueError(f"n_eval_objects must be positive, got {n_eval_objects}")
-    rng = derive(seed, "floodsim", spec.label())
     max_ttl = int(max(ttls))
-    n = topology.n_nodes
-    if spec.kind == "uniform":
-        sizes = np.full(n_eval_objects, spec.n_replicas, dtype=np.int64)
-    else:
-        counts = zipf_replica_counts(spec.universe, spec.exponent, spec.mean_replicas)
-        objects = _sample_objects(spec, counts, n_eval_objects, rng)
-        sizes = counts[objects]
-    replica_sets = [rng.choice(n, size=min(int(s), n), replace=False) for s in sizes]
+    replica_sets = _replica_sets(spec, topology.n_nodes, n_eval_objects, seed)
     if workers == 1 or len(replica_sets) <= 1:
         profiles = _success_profiles(topology, replica_sets, max_ttl)
     else:
