@@ -234,7 +234,8 @@ def _lane_totals(words: np.ndarray) -> np.ndarray:
     totals = np.empty((8, 8), dtype=np.int64)  # [j, b] counts lane 8 * b + j
     for j in range(8):
         sums = ((blocks >> np.uint64(j)) & _LOW_BITS).sum(axis=1, dtype=np.uint64)
-        totals[j] = sums.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).sum(axis=0)
+        per_byte = sums.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        totals[j] = per_byte.sum(axis=0)
     return totals.T.ravel()
 
 
@@ -541,7 +542,8 @@ def _reach_rows(
     topology: Topology, sources: np.ndarray, ttls: np.ndarray, max_ttl: int
 ) -> np.ndarray:
     """Per-TTL reach fractions of each source's flood, one row per source."""
-    cum = np.cumsum(flood_level_counts(topology, sources[:, None], max_ttl), axis=1)
+    counts = flood_level_counts(topology, list(sources[:, None]), max_ttl)
+    cum = np.cumsum(counts, axis=1)
     # Exclude the source itself from "peers reached".  C order keeps
     # the mean over sources summing row after row: on a column-major
     # array numpy sums each column pairwise, which rounds differently.

@@ -121,7 +121,9 @@ class TestLaneKernel:
         restrict=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_flood_bincount(self, topo, n_floods, max_depth, seed, restrict):
+    def test_matches_per_flood_bincount(
+        self, topo, n_floods, max_depth, seed, restrict
+    ):
         rng = make_rng(seed)
         # 0-3 sources per flood, repeats and empty sets included.
         source_sets = [
