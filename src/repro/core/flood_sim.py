@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.core.experiment import Fig8TopologyConfig, build_fig8_topology
 from repro.obs import span
-# flood_depths is no longer called here; the name stays bound because
-# perfbench/tracing.py wraps this module's attribute.
+# flood_depths is not called here; perfbench/tracing.py wraps this
+# module's attribute, so the name stays bound.
 from repro.overlay.flooding import flood_depths, flood_level_counts
 from repro.overlay.topology import Topology
 from repro.runtime.cache import cached_call, config_digest

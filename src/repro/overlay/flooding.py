@@ -14,8 +14,8 @@ kernel's hot spot at the 40k-node Fig. 8 scale.
 
 Experiments that need only how many nodes each flood first reaches
 per hop (Fig. 8 success curves, the reach table) run
-:func:`flood_level_counts` instead: one bit per flood in a ``uint64``
-word per node, so one pass over the CSR advances 64 floods.
+:func:`flood_level_counts` instead: one bit per flood in a word per
+node, so one pass over the CSR advances up to 64 floods.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ def _levels(
     return depth, level_messages, level_new
 
 
-#: Floods per lane word: flood ``i`` of a pass owns bit ``i`` of a
-#: ``uint64`` per node.
+#: Floods per pass of :func:`flood_level_counts`: flood ``i`` of a pass
+#: owns bit ``i`` of a word per node, at most a ``uint64``.
 LANE_WIDTH = 64
 
 #: ``0x0101...01``: the low bit of each of a word's eight bytes.
