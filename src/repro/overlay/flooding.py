@@ -314,7 +314,9 @@ def flood_level_counts(
     # CSR, so edgeless rows (and an edgeless graph) need no clipping.
     rows = np.flatnonzero(degree)
     starts = offsets[rows]
-    counted = slice(None) if among is None else np.flatnonzero(among)
+    counted: slice | np.ndarray = (
+        slice(None) if among is None else np.flatnonzero(among)
+    )
     counts = np.zeros((len(source_sets), max_depth + 1), dtype=np.int64)
     messages = 0
     for lo in range(0, len(source_sets), LANE_WIDTH):
