@@ -5,12 +5,19 @@ real repeated-measurement microbenchmarks of the kernels everything
 else is built on — the pieces the hpc-parallel guidance says to keep
 vectorized.  Regressions here slow every experiment, so they get
 dedicated timings: Zipf sampling, replica counting, flooding, Bloom
-probing and Chord routing.
+probing and Chord routing — and the start-up of ``repro serve``, which
+a restart to swap state pays in full.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,3 +408,92 @@ def test_perf_chord_lookup(benchmark):
 
     hops = benchmark(run)
     assert hops >= 0
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _vm_hwm_mb(pid: int) -> float:
+    """A live process's resident-set high-water mark, in MB."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError(f"no VmHWM in /proc/{pid}/status")
+
+
+def _psm_segments() -> set[str]:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _serve_until_ready(ready_file: Path, log: Path) -> tuple[float, float]:
+    """Spawn ``repro serve``, wait for its ready file, SIGTERM it.
+
+    Returns (spawn-to-ready seconds, the server's VmHWM in MB).  The
+    server must exit 0 and leave no shared-memory segment behind.
+    """
+    ready_file.unlink(missing_ok=True)
+    before = _psm_segments()
+    with log.open("wb") as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--ready-file", str(ready_file)],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            stdout=out,
+            stderr=subprocess.STDOUT,
+        )
+    try:
+        while not (ready_file.is_file() and ready_file.read_text().endswith("\n")):
+            assert proc.poll() is None, f"server exited before ready; see {log}"
+            assert time.perf_counter() - t0 < 120, f"server not ready; see {log}"
+            time.sleep(0.002)
+        ready_s = time.perf_counter() - t0
+        hwm_mb = _vm_hwm_mb(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0, f"server failed on SIGTERM; see {log}"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert _psm_segments() <= before, "server left shared memory behind"
+    return ready_s, hwm_mb
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or not os.path.isdir("/proc/self"),
+    reason="needs Linux /proc and POSIX shared memory",
+)
+def test_perf_serve_startup(benchmark, tmp_path):
+    """Spawn-to-ready seconds and peak RSS of ``repro serve``, warm cache.
+
+    The 5k-node fixture the service loads by default is warmed in this
+    process first, as perfbench warms its own cache, so every start-up
+    loads through the memory-mapped blob path a restarted service takes.
+    """
+    from repro.core.experiment import (
+        Fig8TopologyConfig,
+        build_content_index,
+        build_fig8_topology,
+        build_trace_bundle,
+    )
+    from repro.tracegen.gnutella_trace import GnutellaTraceConfig
+
+    build_fig8_topology(Fig8TopologyConfig(n_nodes=5_000))
+    build_content_index(
+        build_trace_bundle(trace_config=GnutellaTraceConfig(n_peers=5_000)).trace
+    )
+
+    samples: list[tuple[float, float]] = []
+
+    def start_and_stop() -> None:
+        samples.append(
+            _serve_until_ready(tmp_path / "ready", tmp_path / "server.log")
+        )
+
+    benchmark.pedantic(start_and_stop, rounds=3, iterations=1)
+    ready_s = statistics.median(s for s, _ in samples)
+    hwm_mb = statistics.median(m for _, m in samples)
+    benchmark.extra_info["ready_s"] = round(ready_s, 3)
+    benchmark.extra_info["server_vm_hwm_mb"] = round(hwm_mb, 1)
+    print(f"\nrepro serve start-up: {ready_s:.2f}s to ready, VmHWM {hwm_mb:.0f} MB")

@@ -9,13 +9,9 @@ and the transient-aware adaptive policy.
 
 from __future__ import annotations
 
-from repro.core import (
-    SynopsisConfig,
-    build_trace_bundle,
-    format_percent,
-    format_table,
-    run_synopsis_experiment,
-)
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_percent, format_table
+from repro.core.synopsis import SynopsisConfig, run_synopsis_experiment
 
 
 def main() -> None:

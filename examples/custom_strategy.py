@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import build_trace_bundle, format_table
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_table
 from repro.core.replay import DhtStrategy, FloodStrategy, replay
 from repro.core.synopsis import PeerSynopses
 from repro.dht import ChordRing, KeywordIndex
-from repro.overlay import SharedContentIndex, UnstructuredNetwork, flat_random
+from repro.overlay.content import SharedContentIndex
+from repro.overlay.network import UnstructuredNetwork
+from repro.overlay.topology import flat_random
 
 
 class SynopsisFirstFlood:

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import build_trace_bundle, format_percent, format_table
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_percent, format_table
 from repro.core.reach import ReachConfig, measure_reach
-from repro.overlay import (
-    GnutellaSession,
-    ProtocolConfig,
-    SharedContentIndex,
-    UnstructuredNetwork,
-)
+from repro.overlay.content import SharedContentIndex
+from repro.overlay.network import UnstructuredNetwork
+from repro.overlay.protocol import GnutellaSession, ProtocolConfig
 
 
 def main() -> None:

@@ -14,15 +14,12 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.analysis import summarize_replication
-from repro.core import format_percent, format_table
-from repro.tracegen import (
-    GnutellaShareTrace,
-    MusicCatalog,
-    QueryWorkload,
-    file_term_peer_counts,
-    presets,
-)
+from repro.analysis.replication import summarize_replication
+from repro.core.reporting import format_percent, format_table
+from repro.tracegen import presets
+from repro.tracegen.catalog import MusicCatalog
+from repro.tracegen.gnutella_trace import GnutellaShareTrace
+from repro.tracegen.query_trace import QueryWorkload, file_term_peer_counts
 
 
 def main() -> None:

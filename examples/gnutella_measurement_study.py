@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import fit_zipf, sanitize_name, summarize_replication
-from repro.core import format_percent, format_table
+from repro.analysis.replication import summarize_replication
+from repro.analysis.tokenize import sanitize_name
+from repro.analysis.zipf_fit import fit_zipf
+from repro.core.reporting import format_percent, format_table
 from repro.crawler import crawl_files, crawl_topology
-from repro.overlay import SharedContentIndex, two_tier_gnutella
-from repro.tracegen import GnutellaShareTrace, MusicCatalog
+from repro.overlay.content import SharedContentIndex
+from repro.overlay.topology import two_tier_gnutella
+from repro.tracegen.catalog import MusicCatalog
+from repro.tracegen.gnutella_trace import GnutellaShareTrace
 
 
 def main() -> None:

@@ -9,13 +9,9 @@ topology.
 
 from __future__ import annotations
 
-from repro.core import (
-    FloodSimConfig,
-    HybridEvalConfig,
-    evaluate_hybrid,
-    format_table,
-    run_fig8,
-)
+from repro.core.flood_sim import FloodSimConfig, run_fig8
+from repro.core.hybrid_eval import HybridEvalConfig, evaluate_hybrid
+from repro.core.reporting import format_table
 
 
 def main() -> None:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats as sstats
 
-from repro.analysis import summarize_replication
-from repro.core import build_trace_bundle, format_percent, format_table
+from repro.analysis.replication import summarize_replication
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_percent, format_table
 from repro.crawler import crawl_files, monitor_queries
-from repro.overlay import two_tier_gnutella
+from repro.overlay.topology import two_tier_gnutella
 from repro.overlay.churn import ChurnConfig, ChurnTimeline, crawl_snapshot
 
 

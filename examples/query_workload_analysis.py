@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import build_trace_bundle, format_percent, format_table
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_percent, format_table
 from repro.core.mismatch import run_mismatch_analysis
 from repro.crawler import monitor_queries
-from repro.overlay import two_tier_gnutella
+from repro.overlay.topology import two_tier_gnutella
 
 
 def main() -> None:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import fit_zipf, summarize_replication
-from repro.core import build_trace_bundle, format_percent, format_table
-from repro.overlay import SharedContentIndex
+from repro.analysis.replication import summarize_replication
+from repro.analysis.zipf_fit import fit_zipf
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_percent, format_table
+from repro.overlay.content import SharedContentIndex
 
 
 def main() -> None:
@@ -57,7 +59,8 @@ def main() -> None:
     content = SharedContentIndex(trace)
     term_counts = content.term_peer_counts()
     popular_term = content.term_index.term_string(int(np.argmax(term_counts)))
-    from repro.overlay import UnstructuredNetwork, flat_random
+    from repro.overlay.network import UnstructuredNetwork
+    from repro.overlay.topology import flat_random
 
     network = UnstructuredNetwork(flat_random(trace.n_peers, 8.0, seed=1), content)
     outcome = network.query_flood(0, [popular_term], ttl=3)

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import build_trace_bundle, format_percent, format_table
+from repro.core.experiment import build_trace_bundle
+from repro.core.reporting import format_percent, format_table
 from repro.dht import ChordRing, KeywordIndex
 from repro.hybrid import HybridSearch
-from repro.overlay import (
-    QrpTables,
-    SharedContentIndex,
-    UnstructuredNetwork,
-    expanding_ring_search,
-    qrp_flood,
-    two_tier_gnutella,
-)
+from repro.overlay.content import SharedContentIndex
+from repro.overlay.expanding_ring import expanding_ring_search
+from repro.overlay.network import UnstructuredNetwork
+from repro.overlay.qrp import QrpTables, qrp_flood
+from repro.overlay.topology import two_tier_gnutella
 from repro.utils.rng import make_rng
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import build_trace_bundle, run_fig8, FloodSimConfig
+from repro.core.experiment import build_trace_bundle
+from repro.core.flood_sim import FloodSimConfig, run_fig8
 from repro.core.asciiplot import line_chart, scatter_loglog
 from repro.core.mismatch import run_mismatch_analysis
 from repro.utils.zipf import rank_frequency

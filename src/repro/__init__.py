@@ -24,9 +24,13 @@ Public API layout
     reach, hybrid-vs-DHT evaluation, the query/annotation mismatch
     pipeline (Figs. 5-7) and the adaptive-synopsis extension.
 
-Subpackages load on demand (``import repro.overlay``): importing
-``repro`` itself loads none of them, so ``python -m repro.lint``
-never pays for scipy, networkx or the simulator.
+Subpackages load on demand: importing ``repro`` loads none of them,
+so ``python -m repro.lint`` never pays for scipy, networkx or the
+simulator.  ``analysis``, ``core``, ``overlay``, ``runtime``,
+``serve``, ``tracegen`` and ``utils`` re-export nothing; import from
+the defining module (``from repro.overlay.flooding import flood``), so
+a module loads only what it imports.  scipy and networkx are imported
+inside the functions that use them, and ``repro serve`` loads neither.
 """
 
 __version__ = "0.1.0"

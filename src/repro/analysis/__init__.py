@@ -1,89 +1,3 @@
 """Trace analyses: tokenization, popularity, replication, Jaccard, temporal."""
 
-from repro.analysis.cooccurrence import (
-    CooccurrenceStats,
-    cooccurrence_stats,
-    pair_counts,
-)
-from repro.analysis.jaccard import jaccard, jaccard_against, jaccard_timeline
-from repro.analysis.popularity import (
-    clients_per_value,
-    occurrences_per_value,
-    popular_by_threshold,
-    top_k_set,
-)
-from repro.analysis.resolvability import ResolvabilityReport, measure_resolvability
-from repro.analysis.replication import (
-    ReplicationSummary,
-    replication_table,
-    summarize_replication,
-)
-from repro.analysis.temporal import (
-    IntervalCounts,
-    TransientReport,
-    detect_transient_terms,
-    interval_term_counts,
-    popular_sets,
-)
-from repro.analysis.tokenize import (
-    TermIndex,
-    sanitize_name,
-    strip_extension,
-    tokenize_name,
-)
-from repro.analysis.workload_stats import (
-    WorkloadSummary,
-    queries_per_interval,
-    summarize_workload,
-)
-from repro.analysis.vocabulary import (
-    HeapsFit,
-    fit_heaps,
-    new_term_rate,
-    vocabulary_growth,
-)
-from repro.analysis.validation import (
-    CalibrationCheck,
-    check_gnutella_trace,
-    check_itunes_trace,
-)
-from repro.analysis.zipf_fit import ZipfFit, fit_zipf
-
-__all__ = [
-    "CooccurrenceStats",
-    "cooccurrence_stats",
-    "pair_counts",
-    "jaccard",
-    "jaccard_against",
-    "jaccard_timeline",
-    "clients_per_value",
-    "occurrences_per_value",
-    "popular_by_threshold",
-    "top_k_set",
-    "ResolvabilityReport",
-    "measure_resolvability",
-    "CalibrationCheck",
-    "WorkloadSummary",
-    "queries_per_interval",
-    "summarize_workload",
-    "HeapsFit",
-    "fit_heaps",
-    "new_term_rate",
-    "vocabulary_growth",
-    "check_gnutella_trace",
-    "check_itunes_trace",
-    "ReplicationSummary",
-    "replication_table",
-    "summarize_replication",
-    "IntervalCounts",
-    "TransientReport",
-    "detect_transient_terms",
-    "interval_term_counts",
-    "popular_sets",
-    "TermIndex",
-    "sanitize_name",
-    "strip_extension",
-    "tokenize_name",
-    "ZipfFit",
-    "fit_zipf",
-]
+__all__: list[str] = []

@@ -1,95 +1,4 @@
 """The paper's experiments: reach, flood success, hybrid comparison,
 query/annotation mismatch, and the adaptive-synopsis extension."""
 
-from repro.core.asciiplot import line_chart, scatter_loglog
-from repro.core.export import export_all, write_csv
-from repro.core.experiment import (
-    Fig8TopologyConfig,
-    TraceBundle,
-    build_fig8_topology,
-    build_trace_bundle,
-)
-from repro.core.flood_sim import (
-    FloodSimConfig,
-    FloodSimCurve,
-    FloodSimResult,
-    PlacementSpec,
-    run_fig8,
-    run_flood_success,
-    zipf_replica_counts,
-)
-from repro.core.hybrid_eval import HybridEvalConfig, HybridEvalResult, evaluate_hybrid
-from repro.core.mismatch import MismatchConfig, MismatchReport, run_mismatch_analysis
-from repro.core.paper_report import Claim, build_report, render_report
-from repro.core.replay import (
-    DhtStrategy,
-    ExpandingRingStrategy,
-    FloodStrategy,
-    HybridStrategy,
-    SearchStrategy,
-    WalkStrategy,
-    replay,
-)
-from repro.core.reach import PAPER_REACH, ReachConfig, ReachResult, measure_reach
-from repro.core.reporting import format_percent, format_series, format_table
-from repro.core.sensitivity import (
-    MismatchSensitivityConfig,
-    SensitivityPoint,
-    run_mismatch_sensitivity,
-)
-from repro.core.synopsis import (
-    PeerSynopses,
-    PolicyOutcome,
-    SynopsisConfig,
-    SynopsisResult,
-    run_synopsis_experiment,
-)
-
-__all__ = [
-    "line_chart",
-    "scatter_loglog",
-    "export_all",
-    "write_csv",
-    "MismatchSensitivityConfig",
-    "SensitivityPoint",
-    "run_mismatch_sensitivity",
-    "Fig8TopologyConfig",
-    "TraceBundle",
-    "build_fig8_topology",
-    "build_trace_bundle",
-    "FloodSimConfig",
-    "FloodSimCurve",
-    "FloodSimResult",
-    "PlacementSpec",
-    "run_fig8",
-    "run_flood_success",
-    "zipf_replica_counts",
-    "HybridEvalConfig",
-    "HybridEvalResult",
-    "evaluate_hybrid",
-    "MismatchConfig",
-    "MismatchReport",
-    "run_mismatch_analysis",
-    "PAPER_REACH",
-    "DhtStrategy",
-    "ExpandingRingStrategy",
-    "FloodStrategy",
-    "HybridStrategy",
-    "SearchStrategy",
-    "WalkStrategy",
-    "replay",
-    "Claim",
-    "build_report",
-    "render_report",
-    "ReachConfig",
-    "ReachResult",
-    "measure_reach",
-    "format_percent",
-    "format_series",
-    "format_table",
-    "PeerSynopses",
-    "PolicyOutcome",
-    "SynopsisConfig",
-    "SynopsisResult",
-    "run_synopsis_experiment",
-]
+__all__: list[str] = []

@@ -141,12 +141,12 @@ def build_trace_bundle(
 
 #: Bump when SharedContentIndex construction (tokenization, posting
 #: layout) changes meaning.  v2: posting arrays narrowed to
-#: INDEX_DTYPE.
-_CONTENT_CACHE_VERSION = 2
+#: INDEX_DTYPE.  v3: the index no longer embeds the trace.
+_CONTENT_CACHE_VERSION = 3
 
 
 def build_content_index(
-    trace: GnutellaShareTrace,
+    trace: GnutellaShareTrace | GnutellaTraceConfig,
     *,
     stream_block: int | None = None,
     n_shards: int = 1,
@@ -159,17 +159,36 @@ def build_content_index(
     trace is a pure function of its configs (``REPRO_CACHE=off``
     disables; see :mod:`repro.runtime.cache`).
 
+    ``trace`` may also be the config of a trace over the default
+    catalog, the trace ``build_trace_bundle(trace_config=trace)``
+    holds.  Both forms read and write the same key, so a caller that
+    needs only the index (the query service) never loads the bundle;
+    the trace is generated only on a miss.
+
     ``stream_block`` / ``n_shards`` are pure execution knobs of the
     streaming builder (see :class:`SharedContentIndex`): every setting
     produces bitwise-identical arrays, so they are deliberately *not*
     part of the cache key — a cache hit serves the same index however
     it was first built.
     """
+    if isinstance(trace, GnutellaTraceConfig):
+        catalog_cfg, trace_cfg = CatalogConfig(), trace
+    else:
+        catalog_cfg, trace_cfg = trace.catalog.config, trace.config
+
+    def compute() -> SharedContentIndex:
+        shares = (
+            trace
+            if isinstance(trace, GnutellaShareTrace)
+            else GnutellaShareTrace(MusicCatalog(catalog_cfg), trace_cfg)
+        )
+        return SharedContentIndex(
+            shares, stream_block=stream_block, n_shards=n_shards
+        )
+
     return cached_call(
         "content-index",
         _CONTENT_CACHE_VERSION,
-        config_digest(trace.catalog.config, trace.config),
-        lambda: SharedContentIndex(
-            trace, stream_block=stream_block, n_shards=n_shards
-        ),
+        config_digest(catalog_cfg, trace_cfg),
+        compute,
     )

@@ -249,7 +249,6 @@ def run_flood_success(
     n_eval_objects: int = 150,
     seed: int = 0,
     n_workers: int = 1,
-    shared: SharedTopology | None = None,
 ) -> FloodSimCurve:
     """Estimate the success-rate curve for one placement spec.
 
@@ -257,9 +256,7 @@ def run_flood_success(
     derived from ``seed`` (exactly the stream the serial implementation
     consumed); with ``n_workers > 1`` (or 0, one per CPU) only the
     deterministic per-object floods fan out, as that many contiguous
-    chunks reading the topology from shared memory.  Pass a
-    pre-published ``shared`` handle to amortize the segment copy across
-    several curves on the same topology.
+    chunks reading the topology from shared memory.
     """
     workers = resolve_workers(n_workers)
     if n_eval_objects < 1:
@@ -273,8 +270,7 @@ def run_flood_success(
         chunks = [
             replica_sets[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         ]
-        share = SharedTopology(topology) if shared is None else shared
-        try:
+        with SharedTopology(topology) as share:
             task = partial(_profiles_task, spec=share.spec, max_ttl=max_ttl)
             profiles = np.concatenate(
                 pmap(
@@ -286,9 +282,6 @@ def run_flood_success(
                     needs_rng=False,
                 )
             )
-        finally:
-            if shared is None:
-                share.close()
     acc = np.zeros(max_ttl, dtype=np.float64)
     for profile in profiles:
         acc += profile
@@ -301,33 +294,52 @@ def run_flood_success(
 _FIG8_CACHE_VERSION = 1
 
 
+def _curve_task(
+    spec: PlacementSpec, *, topo_spec: SharedTopologySpec, cfg: FloodSimConfig
+) -> FloodSimCurve:
+    """Worker task: one whole curve, serially, on the shared topology."""
+    return run_flood_success(
+        attach_topology(topo_spec),
+        spec,
+        ttls=cfg.ttls,
+        n_eval_objects=cfg.n_eval_objects,
+        seed=cfg.seed,
+    )
+
+
 def _run_fig8_uncached(cfg: FloodSimConfig) -> FloodSimResult:
     workers = resolve_workers(cfg.n_workers)
     topology = build_fig8_topology(cfg.topology)
     specs = [cfg.zipf] + [
         PlacementSpec(kind="uniform", n_replicas=r) for r in cfg.uniform_replicas
     ]
-
-    def curves_with(shared: SharedTopology | None) -> list[FloodSimCurve]:
-        return [
-            run_flood_success(
-                topology,
-                spec,
-                ttls=cfg.ttls,
-                n_eval_objects=cfg.n_eval_objects,
-                seed=cfg.seed,
-                n_workers=workers,
-                shared=shared,
-            )
-            for spec in specs
-        ]
-
     if workers == 1:
-        return FloodSimResult(curves=curves_with(None))
-    # Publish the topology once; all six curves' worker floods attach
-    # to the same segments.
+        return FloodSimResult(
+            curves=[
+                run_flood_success(
+                    topology,
+                    spec,
+                    ttls=cfg.ttls,
+                    n_eval_objects=cfg.n_eval_objects,
+                    seed=cfg.seed,
+                )
+                for spec in specs
+            ]
+        )
+    # One pool for the whole figure: each worker runs whole curves
+    # against the topology published once.  A curve's floods depend
+    # only on its own placement stream, so any split is bitwise equal.
     with SharedTopology(topology) as share:
-        return FloodSimResult(curves=curves_with(share))
+        task = partial(_curve_task, topo_spec=share.spec, cfg=cfg)
+        curves = pmap(
+            task,
+            specs,
+            seed=cfg.seed,
+            key="floodsim-curves",
+            n_workers=workers,
+            needs_rng=False,
+        )
+    return FloodSimResult(curves=curves)
 
 
 def run_fig8(config: FloodSimConfig | None = None) -> FloodSimResult:

@@ -5,7 +5,9 @@ to the overlay: every shared instance is tokenized once (via
 :class:`~repro.analysis.tokenize.TermIndex`) and posting lists map
 term ids to the instances whose names contain them.  Query matching is
 Gnutella semantics: a file matches when its name contains *all* query
-terms; a peer responds with its matching files.
+terms; a peer responds with its matching files.  The index keeps the
+term dictionary, the postings and each instance's peer, not the trace
+it was built from: a keyword query reads nothing else.
 
 Three evaluation paths share one core:
 
@@ -36,15 +38,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, Sequence, cast
+from typing import TYPE_CHECKING, Protocol, Sequence, cast
 
 import numpy as np
 
 from repro.analysis.tokenize import TermIndex
 from repro.obs import metrics
 from repro.overlay.topology import INDEX_DTYPE, shard_bounds
-from repro.tracegen.gnutella_trace import GnutellaShareTrace
 from repro.utils.stats import encode_pairs, ragged_arange
+
+if TYPE_CHECKING:
+    from repro.tracegen.gnutella_trace import GnutellaShareTrace
 
 __all__ = [
     "BatchMatches",
@@ -599,6 +603,8 @@ class SharedContentIndex:
 
     Attributes
     ----------
+    n_peers, n_instances:
+        the trace's peer and shared-instance counts.
     instance_peer:
         peer id per instance.
     term_index:
@@ -612,8 +618,8 @@ class SharedContentIndex:
         stream_block: int | None = None,
         n_shards: int = 1,
     ) -> None:
-        self.trace = trace
         self.n_peers = trace.n_peers
+        self.n_instances = trace.n_instances
         self.instance_peer = trace.peer_of_instance
         self.term_index = TermIndex(trace.unique_names())
         _check_posting_width(self.term_index.n_terms, trace.n_instances, 0)
@@ -654,11 +660,6 @@ class SharedContentIndex:
         state["_postings"] = None
         state.pop("peer_terms", None)
         return state
-
-    @property
-    def n_instances(self) -> int:
-        """Total shared-file instances indexed."""
-        return self.trace.n_instances
 
     @property
     def _posting_terms(self) -> np.ndarray:

@@ -240,16 +240,25 @@ def _lane_totals(words: np.ndarray) -> np.ndarray:
 
 
 def _pull(
-    send: np.ndarray, neighbors: np.ndarray, rows: np.ndarray, starts: np.ndarray
+    send: np.ndarray,
+    neighbors: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Each node's OR of its neighbors' ``send`` words.
 
     Reads every edge.  ``rows`` are the nodes with edges and ``starts``
     their first CSR entries; the CSR is symmetric, so a node's row
-    lists exactly the senders it hears.
+    lists exactly the senders it hears.  The senders' words are
+    gathered into ``scratch``, at least ``neighbors.size`` uint64s.
     """
+    gathered = scratch.view(send.dtype)[: neighbors.size]
+    # With ``out``, take's default mode="raise" gathers into a copy;
+    # every CSR entry is in range, so "clip" changes nothing else.
+    np.take(send, neighbors, out=gathered, mode="clip")
     recv = np.zeros(send.size, dtype=send.dtype)
-    recv[rows] = np.bitwise_or.reduceat(send[neighbors], starts)
+    recv[rows] = np.bitwise_or.reduceat(gathered, starts)
     return recv
 
 
@@ -318,6 +327,10 @@ def flood_level_counts(
         slice(None) if among is None else np.flatnonzero(among)
     )
     counts = np.zeros((len(source_sets), max_depth + 1), dtype=np.int64)
+    # One edges-sized gather buffer for every pull of the call: a fresh
+    # array per level (new pages to fault in) doubled the gather's cost,
+    # 0.78 against 0.40 ms per pull at 40k nodes, ~20% of a Fig. 8 run.
+    scratch = np.empty(neighbors.size, dtype=np.uint64)
     messages = 0
     for lo in range(0, len(source_sets), LANE_WIDTH):
         lanes = [
@@ -348,7 +361,7 @@ def flood_level_counts(
             send = np.where(live, frontier, 0)
             messages += int(lengths @ _popcounts(send[active]))
             if 4 * edges >= neighbors.size:
-                recv = _pull(send, neighbors, rows, starts)
+                recv = _pull(send, neighbors, rows, starts, scratch)
             else:
                 recv = _push(send, active, lengths, offsets, neighbors)
             seen = visited | recv

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from repro.overlay.flooding import flood
 from repro.overlay.messages import QueryHit, QueryMessage
 from repro.overlay.random_walk import random_walk
 from repro.overlay.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.tracegen.gnutella_trace import GnutellaShareTrace
 
 __all__ = ["SearchOutcome", "UnstructuredNetwork"]
 
@@ -155,13 +158,16 @@ class UnstructuredNetwork:
             n_workers=n_workers,
         )
 
-    def answer(self, message: QueryMessage, peer: int) -> QueryHit:
-        """Protocol-level view: one peer's QueryHit for a query message."""
+    def answer(
+        self, message: QueryMessage, peer: int, trace: GnutellaShareTrace
+    ) -> QueryHit:
+        """Protocol-level view: one peer's QueryHit for a query message.
+
+        File names come from ``trace``, the share trace the content
+        index was built from; the index itself keeps no names.
+        """
         mask = np.zeros(self.n_peers, dtype=bool)
         mask[peer] = True
         hits = self.content.peer_results(list(message.terms), mask)
-        names = tuple(
-            self.content.trace.names.lookup(int(self.content.trace.name_ids[i]))
-            for i in hits
-        )
+        names = tuple(trace.names.lookup(int(trace.name_ids[i])) for i in hits)
         return QueryHit(guid=message.guid, responder=peer, file_names=names)

@@ -10,14 +10,16 @@ the adjacency lives in CSR arrays so flooding is pure numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-import networkx as nx
 import numpy as np
 
 from repro.obs import metrics
 from repro.utils import dtypes
 from repro.utils.rng import derive, make_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "INDEX_DTYPE",
@@ -87,6 +89,8 @@ class Topology:
         CSR arrays (each undirected edge appears twice; the ``v < w``
         copy is kept) instead of a per-node Python loop.
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_nodes))
         src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.offsets))

@@ -19,55 +19,4 @@ Three cooperating pieces, each usable on its own:
 See docs/performance.md for the architecture and invalidation rules.
 """
 
-from __future__ import annotations
-
-from repro.runtime.cache import (
-    CacheInfo,
-    cache_dir,
-    cache_enabled,
-    cache_info,
-    cached_call,
-    clear_cache,
-    config_digest,
-)
-from repro.runtime.parallel import pmap, resolve_workers
-from repro.runtime.sanitize import (
-    freeze,
-    freeze_artifact,
-    sanitize_faults,
-    scratch_alloc,
-    scratch_release,
-    shm_sanitize_enabled,
-)
-from repro.runtime.shm import (
-    ShardedPostings,
-    ShardedPostingsSpec,
-    SharedTopology,
-    SharedTopologySpec,
-    attach_postings,
-    attach_topology,
-)
-
-__all__ = [
-    "CacheInfo",
-    "ShardedPostings",
-    "ShardedPostingsSpec",
-    "SharedTopology",
-    "SharedTopologySpec",
-    "attach_postings",
-    "attach_topology",
-    "cache_dir",
-    "cache_enabled",
-    "cache_info",
-    "cached_call",
-    "clear_cache",
-    "config_digest",
-    "freeze",
-    "freeze_artifact",
-    "pmap",
-    "resolve_workers",
-    "sanitize_faults",
-    "scratch_alloc",
-    "scratch_release",
-    "shm_sanitize_enabled",
-]
+__all__: list[str] = []

@@ -18,23 +18,4 @@ explicit (queue-full → 429 + ``Retry-After``, queued-past-deadline →
 (``cleanup_on_signal`` plus graceful drain).  See ``docs/serving.md``.
 """
 
-from repro.serve.client import ServiceClient
-from repro.serve.load import LoadConfig, LoadReport, run_load
-from repro.serve.protocol import ProtocolError
-from repro.serve.server import OverlayQueryServer
-from repro.serve.service import Overloaded, QueryService, ServicePolicy
-from repro.serve.state import ServiceConfig, ServiceState
-
-__all__ = [
-    "LoadConfig",
-    "LoadReport",
-    "Overloaded",
-    "OverlayQueryServer",
-    "ProtocolError",
-    "QueryService",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServicePolicy",
-    "ServiceState",
-    "run_load",
-]
+__all__: list[str] = []

@@ -111,12 +111,15 @@ class ServiceState:
 
     @classmethod
     def from_config(cls, config: ServiceConfig) -> "ServiceState":
-        """Build via the artifact cache (fast on a warm cache)."""
+        """Build via the artifact cache (fast on a warm cache).
+
+        Loads the topology and the content index only: the index is
+        keyed on the trace's configs, so the trace bundle is never read.
+        """
         from repro.core.experiment import (
             Fig8TopologyConfig,
             build_content_index,
             build_fig8_topology,
-            build_trace_bundle,
         )
         from repro.tracegen.gnutella_trace import GnutellaTraceConfig
 
@@ -124,12 +127,9 @@ class ServiceState:
             topology = build_fig8_topology(
                 Fig8TopologyConfig(n_nodes=config.n_nodes, seed=config.seed)
             )
-            bundle = build_trace_bundle(
-                trace_config=GnutellaTraceConfig(
-                    n_peers=config.n_nodes, seed=config.seed
-                )
+            content = build_content_index(
+                GnutellaTraceConfig(n_peers=config.n_nodes, seed=config.seed)
             )
-            content = build_content_index(bundle.trace)
         return cls(
             topology,
             content,

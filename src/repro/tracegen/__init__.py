@@ -6,36 +6,4 @@ replaces, so the downstream analyses exercise the same code paths they
 would on the real crawls.
 """
 
-from repro.tracegen import presets
-from repro.tracegen.io import load_trace, load_workload, save_trace, save_workload
-from repro.tracegen.catalog import CANONICAL_GENRES, CatalogConfig, MusicCatalog
-from repro.tracegen.gnutella_trace import GnutellaShareTrace, GnutellaTraceConfig
-from repro.tracegen.itunes_trace import MISSING, ITunesShareTrace, ITunesTraceConfig
-from repro.tracegen.lexicon import Lexicon
-from repro.tracegen.query_trace import (
-    BurstEvent,
-    QueryWorkload,
-    QueryWorkloadConfig,
-    file_term_peer_counts,
-)
-
-__all__ = [
-    "presets",
-    "load_trace",
-    "load_workload",
-    "save_trace",
-    "save_workload",
-    "CANONICAL_GENRES",
-    "CatalogConfig",
-    "MusicCatalog",
-    "GnutellaShareTrace",
-    "GnutellaTraceConfig",
-    "MISSING",
-    "ITunesShareTrace",
-    "ITunesTraceConfig",
-    "Lexicon",
-    "BurstEvent",
-    "QueryWorkload",
-    "QueryWorkloadConfig",
-    "file_term_peer_counts",
-]
+__all__: list[str] = []

@@ -1,43 +1,3 @@
 """Shared utilities: RNG plumbing, Zipf machinery, Bloom filters, text tools."""
 
-from repro.utils.bloom import BloomFilter, optimal_parameters
-from repro.utils.rng import as_seed_sequence, derive, make_rng, spawn
-from repro.utils.stats import (
-    bincount_counts,
-    ccdf,
-    fraction_at_least,
-    fraction_at_most,
-    gini,
-    lorenz_curve,
-)
-from repro.utils.text import NameNoiseModel, StringInterner, mangle_name
-from repro.utils.zipf import (
-    ZipfDistribution,
-    fit_exponent_mle,
-    ks_distance,
-    rank_frequency,
-    zipf_weights,
-)
-
-__all__ = [
-    "BloomFilter",
-    "optimal_parameters",
-    "as_seed_sequence",
-    "derive",
-    "make_rng",
-    "spawn",
-    "bincount_counts",
-    "ccdf",
-    "fraction_at_least",
-    "fraction_at_most",
-    "gini",
-    "lorenz_curve",
-    "NameNoiseModel",
-    "StringInterner",
-    "mangle_name",
-    "ZipfDistribution",
-    "fit_exponent_mle",
-    "ks_distance",
-    "rank_frequency",
-    "zipf_weights",
-]
+__all__: list[str] = []

@@ -14,11 +14,19 @@ from __future__ import annotations
 
 import gc
 import os
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.experiment import TraceBundle, build_trace_bundle
+from repro.core.experiment import (
+    Fig8TopologyConfig,
+    TraceBundle,
+    build_content_index,
+    build_fig8_topology,
+    build_trace_bundle,
+)
 from repro.obs import metrics
 from repro.overlay.content import SharedContentIndex
 from repro.overlay.topology import Topology, flat_random, two_tier_gnutella
@@ -173,6 +181,39 @@ def default_content(default_bundle: TraceBundle) -> SharedContentIndex:
 def small_content(small_trace: GnutellaShareTrace) -> SharedContentIndex:
     """Content index over the small trace."""
     return SharedContentIndex(small_trace)
+
+
+#: Node (and trace peer) count of the service the start-up tests load.
+SERVICE_NODES = 300
+
+
+@dataclass(frozen=True)
+class WarmCache:
+    """An artifact cache directory and what warming it built in memory."""
+
+    path: Path
+    topology: Topology
+    bundle: TraceBundle
+    content: SharedContentIndex
+
+
+@pytest.fixture(scope="session")
+def warm_service_cache(tmp_path_factory: pytest.TempPathFactory) -> WarmCache:
+    """A private cache holding what ``ServiceConfig(n_nodes=300)`` loads.
+
+    Warmed the way ``perfbench/streams.py::fill_cache`` warms its own:
+    the topology, the trace bundle, then the index over the bundle's
+    trace.
+    """
+    path = tmp_path_factory.mktemp("service-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(path))
+        topology = build_fig8_topology(Fig8TopologyConfig(n_nodes=SERVICE_NODES))
+        bundle = build_trace_bundle(
+            trace_config=GnutellaTraceConfig(n_peers=SERVICE_NODES)
+        )
+        content = build_content_index(bundle.trace)
+    return WarmCache(path, topology, bundle, content)
 
 
 @pytest.fixture(scope="session")

@@ -144,6 +144,13 @@ class TestRuntimeDeterminism:
         for a, b in zip(serial.curves, parallel.curves):
             np.testing.assert_array_equal(a.success, b.success)
 
+    def test_run_fig8_uses_one_pool(self, monkeypatch):
+        """All curves fan out through one ``pmap``, not one per curve."""
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        before = metrics().snapshot()
+        run_fig8(FloodSimConfig(**self.SMALL, n_workers=2))
+        assert metrics().delta_since(before).counter("pmap.maps") == 1
+
     def test_run_fig8_cache_hit_equal(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         first = run_fig8(FloodSimConfig(**self.SMALL))

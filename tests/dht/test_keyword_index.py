@@ -16,19 +16,19 @@ def index(small_content) -> KeywordIndex:
     return KeywordIndex(ring, small_content)
 
 
-def sample_terms(content, n=2) -> list[str]:
-    name = content.trace.names.lookup(int(content.trace.name_ids[0]))
+def sample_terms(trace, n=2) -> list[str]:
+    name = trace.names.lookup(int(trace.name_ids[0]))
     return tokenize_name(name)[:n]
 
 
 class TestQuery:
-    def test_results_match_content_index(self, index, small_content):
-        terms = sample_terms(small_content)
+    def test_results_match_content_index(self, index, small_content, small_trace):
+        terms = sample_terms(small_trace)
         res = index.query(terms, source=0)
         np.testing.assert_array_equal(res.hit_instances, small_content.match(terms))
 
-    def test_succeeds_for_existing_content(self, index, small_content):
-        terms = sample_terms(small_content, n=1)
+    def test_succeeds_for_existing_content(self, index, small_trace):
+        terms = sample_terms(small_trace, n=1)
         assert index.query(terms, source=3).succeeded
 
     def test_unknown_term_fails_but_costs_hops(self, index):
@@ -37,16 +37,16 @@ class TestQuery:
         assert res.lookup_hops >= 0
         assert res.posting_entries_shipped == 0
 
-    def test_multi_term_cost_accumulates(self, index, small_content):
-        terms = sample_terms(small_content, n=2)
+    def test_multi_term_cost_accumulates(self, index, small_trace):
+        terms = sample_terms(small_trace, n=2)
         if len(terms) < 2:
             pytest.skip("name has a single term")
         single = index.query(terms[:1], source=0)
         both = index.query(terms, source=0)
         assert both.posting_entries_shipped >= single.posting_entries_shipped
 
-    def test_duplicate_terms_counted_once(self, index, small_content):
-        term = sample_terms(small_content, n=1)
+    def test_duplicate_terms_counted_once(self, index, small_trace):
+        term = sample_terms(small_trace, n=1)
         once = index.query(term, source=0)
         twice = index.query(term + term, source=0)
         assert twice.posting_entries_shipped == once.posting_entries_shipped
@@ -55,14 +55,14 @@ class TestQuery:
         with pytest.raises(ValueError, match="term"):
             index.query([], source=0)
 
-    def test_messages_is_hops_plus_bandwidth(self, index, small_content):
-        res = index.query(sample_terms(small_content), source=1)
+    def test_messages_is_hops_plus_bandwidth(self, index, small_trace):
+        res = index.query(sample_terms(small_trace), source=1)
         assert res.messages == res.lookup_hops + res.posting_entries_shipped
 
 
 class TestPlacement:
-    def test_term_home_matches_ring(self, index, small_content):
-        term = sample_terms(small_content, n=1)[0]
+    def test_term_home_matches_ring(self, index, small_trace):
+        term = sample_terms(small_trace, n=1)[0]
         assert index.term_home(term) == index.ring.owner_of(term)
 
     def test_unknown_term_still_hashes(self, index):
@@ -75,8 +75,8 @@ class TestPlacement:
 
 
 class TestBloomIntersection:
-    def test_results_identical_to_naive(self, index, small_content):
-        terms = sample_terms(small_content, n=2)
+    def test_results_identical_to_naive(self, index, small_trace):
+        terms = sample_terms(small_trace, n=2)
         naive = index.query(terms, source=0)
         bloom = index.query(terms, source=0, intersection="bloom")
         np.testing.assert_array_equal(naive.hit_instances, bloom.hit_instances)
@@ -94,8 +94,8 @@ class TestBloomIntersection:
         assert bloom.posting_entries_shipped < naive.posting_entries_shipped
         np.testing.assert_array_equal(naive.hit_instances, bloom.hit_instances)
 
-    def test_single_term_equivalent(self, index, small_content):
-        terms = sample_terms(small_content, n=1)
+    def test_single_term_equivalent(self, index, small_trace):
+        terms = sample_terms(small_trace, n=1)
         naive = index.query(terms, source=0)
         bloom = index.query(terms, source=0, intersection="bloom")
         assert naive.posting_entries_shipped == bloom.posting_entries_shipped
@@ -105,6 +105,6 @@ class TestBloomIntersection:
         assert not res.succeeded
         assert res.posting_entries_shipped == 0
 
-    def test_unknown_strategy_raises(self, index, small_content):
+    def test_unknown_strategy_raises(self, index, small_trace):
         with pytest.raises(ValueError, match="intersection strategy"):
-            index.query(sample_terms(small_content), source=0, intersection="bogus")
+            index.query(sample_terms(small_trace), source=0, intersection="bogus")

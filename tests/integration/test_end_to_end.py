@@ -9,16 +9,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    fit_zipf,
-    jaccard,
-    summarize_replication,
-    top_k_set,
-)
+from repro.analysis.jaccard import jaccard
+from repro.analysis.popularity import top_k_set
+from repro.analysis.replication import summarize_replication
+from repro.analysis.zipf_fit import fit_zipf
 from repro.crawler import crawl_files, crawl_topology, monitor_queries
 from repro.dht import ChordRing, KeywordIndex
 from repro.hybrid import HybridSearch
-from repro.overlay import SharedContentIndex, UnstructuredNetwork, flat_random, two_tier_gnutella
+from repro.overlay.network import UnstructuredNetwork
+from repro.overlay.topology import flat_random, two_tier_gnutella
 from repro.utils.rng import make_rng
 
 

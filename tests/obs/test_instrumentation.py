@@ -136,10 +136,10 @@ class TestScratchContentionRegression:
 
 
 class TestMatchCacheCounters:
-    def test_hit_miss_tally(self, small_content):
+    def test_hit_miss_tally(self, small_content, small_trace):
         from repro.analysis.tokenize import tokenize_name
 
-        trace = small_content.trace
+        trace = small_trace
         name = trace.names.lookup(int(trace.name_ids[0]))
         key = small_content.query_key(list(tokenize_name(name))[:2])
         assert key is not None

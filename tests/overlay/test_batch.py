@@ -25,16 +25,15 @@ def network(small_content):
     return UnstructuredNetwork(topo, small_content)
 
 
-def sample_workload(content, n, seed=3):
+def sample_workload(trace, n, seed=3):
     """``n`` (source, terms) pairs drawn from real instance names.
 
     Repeats sources and queries (Zipf-style) so the dedup paths are
     exercised, and salts some queries with an unknown term so the
     ``query_key() is None`` fast path appears in every batch.
     """
-    trace = content.trace
     rng = make_rng(seed)
-    sources = rng.integers(0, content.n_peers // 4, size=n)
+    sources = rng.integers(0, trace.n_peers // 4, size=n)
     queries = []
     for _ in range(n):
         inst = int(rng.integers(0, min(40, trace.n_instances)))
@@ -48,8 +47,8 @@ def sample_workload(content, n, seed=3):
 
 
 class TestFloodEquivalence:
-    def test_matches_scalar_query_flood(self, network):
-        sources, queries = sample_workload(network.content, 60)
+    def test_matches_scalar_query_flood(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 60)
         out = network.query_batch(sources, queries, ttl=3)
         for i in range(sources.size):
             scalar = network.query_flood(int(sources[i]), queries[i], ttl=3)
@@ -58,8 +57,8 @@ class TestFloodEquivalence:
             assert int(out.messages[i]) == scalar.messages
             assert int(out.peers_probed[i]) == scalar.peers_probed
 
-    def test_matches_scalar_expanding_ring(self, network):
-        sources, queries = sample_workload(network.content, 40, seed=5)
+    def test_matches_scalar_expanding_ring(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 40, seed=5)
         out = network.query_batch(
             sources, queries, ttl_schedule=(1, 2, 3, 5), min_results=2
         )
@@ -77,8 +76,8 @@ class TestFloodEquivalence:
             assert int(out.peers_probed[i]) == scalar.final.peers_probed
 
     @pytest.mark.parametrize("n_workers", [2, 3, 4])
-    def test_identical_at_every_worker_count(self, network, n_workers):
-        sources, queries = sample_workload(network.content, 50, seed=7)
+    def test_identical_at_every_worker_count(self, network, n_workers, small_trace):
+        sources, queries = sample_workload(small_trace, 50, seed=7)
         serial = network.query_batch(sources, queries, ttl=3)
         parallel = network.query_batch(
             sources, queries, ttl=3, n_workers=n_workers
@@ -88,8 +87,8 @@ class TestFloodEquivalence:
         np.testing.assert_array_equal(serial.messages, parallel.messages)
         np.testing.assert_array_equal(serial.peers_probed, parallel.peers_probed)
 
-    def test_parallel_expanding_ring_identical(self, network):
-        sources, queries = sample_workload(network.content, 30, seed=9)
+    def test_parallel_expanding_ring_identical(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 30, seed=9)
         serial = network.query_batch(sources, queries, ttl_schedule=(1, 3, 5))
         parallel = network.query_batch(
             sources, queries, ttl_schedule=(1, 3, 5), n_workers=4
@@ -97,8 +96,8 @@ class TestFloodEquivalence:
         np.testing.assert_array_equal(serial.success, parallel.success)
         np.testing.assert_array_equal(serial.messages, parallel.messages)
 
-    def test_single_query_batch(self, network):
-        sources, queries = sample_workload(network.content, 1)
+    def test_single_query_batch(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 1)
         out = network.query_batch(sources, queries, ttl=2, n_workers=4)
         scalar = network.query_flood(int(sources[0]), queries[0], ttl=2)
         assert out.n_queries == 1
@@ -129,15 +128,15 @@ class TestValidation:
 
 
 class TestBatchOutcome:
-    def test_aggregates(self, network):
-        sources, queries = sample_workload(network.content, 25)
+    def test_aggregates(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 25)
         out = network.query_batch(sources, queries, ttl=3)
         assert out.n_queries == 25
         assert out.success_rate == float(np.mean(out.success))
         assert out.total_messages == int(out.messages.sum())
 
-    def test_concatenate_roundtrip(self, network):
-        sources, queries = sample_workload(network.content, 20)
+    def test_concatenate_roundtrip(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 20)
         whole = network.query_batch(sources, queries, ttl=2)
         parts = [
             network.query_batch(sources[:7], queries[:7], ttl=2),
@@ -155,13 +154,13 @@ class TestBatchOutcome:
         assert np.isnan(out.success_rate)
         assert out.total_messages == 0
 
-    def test_empty_columns_are_fresh_and_dtype_stable(self, network):
+    def test_empty_columns_are_fresh_and_dtype_stable(self, network, small_trace):
         empty = BatchOutcome.concatenate([])
         again = BatchOutcome.concatenate([])
         # Fresh arrays per call — no shared module-global aliasing.
         assert empty.n_results is not again.n_results
         assert empty.messages is not again.messages
-        sources, queries = sample_workload(network.content, 5)
+        sources, queries = sample_workload(small_trace, 5)
         real = network.query_batch(sources, queries, ttl=2)
         for col in ("success", "n_results", "messages", "peers_probed"):
             assert getattr(empty, col).dtype == getattr(real, col).dtype
@@ -174,8 +173,8 @@ class TestBatchOutcome:
             )
             assert getattr(glued, col).dtype == getattr(real, col).dtype
 
-    def test_single_query_success_rate_defined(self, network):
-        sources, queries = sample_workload(network.content, 1)
+    def test_single_query_success_rate_defined(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 1)
         out = network.query_batch(sources, queries, ttl=2)
         assert out.success_rate in (0.0, 1.0)
 
@@ -184,24 +183,24 @@ class TestCaches:
     def test_engine_is_persistent(self, network):
         assert network.batch_engine() is network.batch_engine()
 
-    def test_flood_cache_deduplicates_sources(self, small_content):
+    def test_flood_cache_deduplicates_sources(self, small_content, small_trace):
         topo = flat_random(small_content.n_peers, 6.0, seed=8)
         engine = BatchQueryEngine(topo, small_content)
-        sources, queries = sample_workload(small_content, 40)
+        sources, queries = sample_workload(small_trace, 40)
         engine.evaluate(sources, queries, ttl_schedule=(3,))
         assert len(engine.flood_cache) == np.unique(sources).size
 
-    def test_repeat_batch_reuses_cache(self, small_content):
+    def test_repeat_batch_reuses_cache(self, small_content, small_trace):
         topo = flat_random(small_content.n_peers, 6.0, seed=8)
         engine = BatchQueryEngine(topo, small_content)
-        sources, queries = sample_workload(small_content, 20)
+        sources, queries = sample_workload(small_trace, 20)
         first = engine.evaluate(sources, queries, ttl_schedule=(1, 2, 3))
         second = engine.evaluate(sources, queries, ttl_schedule=(1, 2, 3))
         np.testing.assert_array_equal(first.messages, second.messages)
         np.testing.assert_array_equal(first.n_results, second.n_results)
 
-    def test_evaluate_flood_and_ring_helpers(self, network):
-        sources, queries = sample_workload(network.content, 10)
+    def test_evaluate_flood_and_ring_helpers(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 10)
         engine = network.batch_engine()
         flood = engine.evaluate_flood(sources, queries, ttl=3)
         ring = engine.evaluate_expanding_ring(sources, queries)
@@ -214,8 +213,8 @@ class TestShardedPostingsEquivalence:
     """Serial-dense == sharded == parallel at every shard/worker count."""
 
     @pytest.fixture(scope="class")
-    def baseline(self, network):
-        sources, queries = sample_workload(network.content, 48, seed=13)
+    def baseline(self, network, small_trace):
+        sources, queries = sample_workload(small_trace, 48, seed=13)
         out = network.batch_engine().evaluate(
             sources, queries, ttl_schedule=(1, 2, 4), min_results=2
         )

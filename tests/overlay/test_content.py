@@ -9,8 +9,8 @@ from repro.analysis.tokenize import tokenize_name
 
 
 class TestMatch:
-    def test_matches_bruteforce(self, small_content):
-        trace = small_content.trace
+    def test_matches_bruteforce(self, small_content, small_trace):
+        trace = small_trace
         # Pick terms from a real name so matches exist.
         name = trace.names.lookup(int(trace.name_ids[0]))
         terms = tokenize_name(name)[:2]
@@ -25,8 +25,8 @@ class TestMatch:
     def test_unknown_term_matches_nothing(self, small_content):
         assert small_content.match(["zzzznotaterm"]).size == 0
 
-    def test_and_semantics_narrow(self, small_content):
-        trace = small_content.trace
+    def test_and_semantics_narrow(self, small_content, small_trace):
+        trace = small_trace
         name = trace.names.lookup(int(trace.name_ids[0]))
         terms = tokenize_name(name)
         one = small_content.match(terms[:1])
@@ -37,8 +37,8 @@ class TestMatch:
         with pytest.raises(ValueError, match="term"):
             small_content.match([])
 
-    def test_duplicate_terms_equivalent(self, small_content):
-        trace = small_content.trace
+    def test_duplicate_terms_equivalent(self, small_content, small_trace):
+        trace = small_trace
         term = tokenize_name(trace.names.lookup(int(trace.name_ids[0])))[0]
         a = small_content.match([term])
         b = small_content.match([term, term])
@@ -46,8 +46,7 @@ class TestMatch:
 
 
 class TestMatchBatch:
-    def queries(self, content, n=12):
-        trace = content.trace
+    def queries(self, trace, n=12):
         out = []
         for i in range(n):
             name = trace.names.lookup(int(trace.name_ids[i % 5]))
@@ -55,8 +54,8 @@ class TestMatchBatch:
         out.append(["zzzznotaterm"])  # unknown-term row
         return out
 
-    def test_rows_match_scalar(self, small_content):
-        queries = self.queries(small_content)
+    def test_rows_match_scalar(self, small_content, small_trace):
+        queries = self.queries(small_trace)
         matches = small_content.match_batch(queries)
         assert matches.n_queries == len(queries)
         for i, q in enumerate(queries):
@@ -64,8 +63,8 @@ class TestMatchBatch:
                 matches.query_instances(i), small_content.match(q)
             )
 
-    def test_deduplicates_repeated_queries(self, small_content):
-        queries = self.queries(small_content)
+    def test_deduplicates_repeated_queries(self, small_content, small_trace):
+        queries = self.queries(small_trace)
         matches = small_content.match_batch(queries)
         # Query i and i+2 share a name (i % 5 cycle) and term count
         # (i % 2 cycle is period 2), so distinct rows < total rows.
@@ -75,8 +74,8 @@ class TestMatchBatch:
             if small_content.query_key(q) == key0:
                 assert matches.distinct_index[i] == matches.distinct_index[0]
 
-    def test_counts_column(self, small_content):
-        queries = self.queries(small_content)
+    def test_counts_column(self, small_content, small_trace):
+        queries = self.queries(small_trace)
         matches = small_content.match_batch(queries)
         for i in range(matches.n_queries):
             assert matches.counts[i] == matches.query_instances(i).size
@@ -94,8 +93,8 @@ class TestMatchBatch:
         assert matches.n_queries == 0
         assert matches.n_distinct == 0
 
-    def test_query_key_canonicalizes(self, small_content):
-        trace = small_content.trace
+    def test_query_key_canonicalizes(self, small_content, small_trace):
+        trace = small_trace
         terms = tokenize_name(trace.names.lookup(int(trace.name_ids[0])))[:2]
         if len(terms) == 2:
             assert small_content.query_key(terms) == small_content.query_key(
@@ -112,8 +111,8 @@ class TestPostings:
             p = small_content.posting(tid)
             assert np.all(np.diff(p) > 0)
 
-    def test_posting_instances_contain_term(self, small_content):
-        trace = small_content.trace
+    def test_posting_instances_contain_term(self, small_content, small_trace):
+        trace = small_trace
         tid = 0
         term = small_content.term_index.term_string(0)
         for inst in small_content.posting(tid)[:50]:
@@ -130,8 +129,8 @@ class TestPostings:
 
 
 class TestPeerViews:
-    def test_matching_peers(self, small_content):
-        trace = small_content.trace
+    def test_matching_peers(self, small_content, small_trace):
+        trace = small_trace
         term = tokenize_name(trace.names.lookup(int(trace.name_ids[0])))[0]
         peers = small_content.matching_peers([term])
         hits = small_content.match([term])
@@ -139,8 +138,8 @@ class TestPeerViews:
             peers, np.unique(small_content.instance_peer[hits])
         )
 
-    def test_peer_results_respects_mask(self, small_content):
-        trace = small_content.trace
+    def test_peer_results_respects_mask(self, small_content, small_trace):
+        trace = small_trace
         term = tokenize_name(trace.names.lookup(int(trace.name_ids[0])))[0]
         mask = np.zeros(small_content.n_peers, dtype=bool)
         mask[int(trace.peer_of_instance[0])] = True
@@ -148,8 +147,8 @@ class TestPeerViews:
         assert hits.size > 0
         assert (small_content.instance_peer[hits] == trace.peer_of_instance[0]).all()
 
-    def test_empty_mask_no_results(self, small_content):
-        trace = small_content.trace
+    def test_empty_mask_no_results(self, small_content, small_trace):
+        trace = small_trace
         term = tokenize_name(trace.names.lookup(int(trace.name_ids[0])))[0]
         mask = np.zeros(small_content.n_peers, dtype=bool)
         assert small_content.peer_results([term], mask).size == 0

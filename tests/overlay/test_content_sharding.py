@@ -25,9 +25,8 @@ from repro.overlay.topology import INDEX_DTYPE
 from repro.utils.rng import make_rng
 
 
-def sample_keys(content, n=60, seed=7):
-    """Distinct in-range canonical keys drawn from real instance names."""
-    trace = content.trace
+def sample_keys(content, trace, n=60, seed=7):
+    """Distinct in-range canonical keys drawn from ``trace``'s instance names."""
     rng = make_rng(seed)
     keys = []
     for _ in range(n):
@@ -89,13 +88,13 @@ class TestPartitionPostings:
 
 class TestBatchKernel:
     @pytest.mark.parametrize("n_shards", [None, 1, 2, 7])
-    def test_rows_match_scalar(self, fresh_content, n_shards):
+    def test_rows_match_scalar(self, fresh_content, n_shards, small_trace):
         provider = (
             fresh_content.dense_postings()
             if n_shards is None
             else partition_postings(fresh_content, n_shards)
         )
-        keys = sample_keys(fresh_content)
+        keys = sample_keys(fresh_content, small_trace)
         rows = intersect_postings_batch(provider, keys)
         dense = fresh_content.dense_postings()
         assert len(rows) == len(keys)
@@ -129,7 +128,7 @@ class TestProviderPlumbing:
         baseline = SharedContentIndex(small_trace)
         sharded = SharedContentIndex(small_trace)
         sharded.use_postings(partition_postings(sharded, n_shards))
-        keys = sample_keys(baseline)
+        keys = sample_keys(baseline, small_trace)
         queries = [
             [baseline.term_index.terms.lookup(t) for t in key] for key in keys
         ]
@@ -142,7 +141,7 @@ class TestProviderPlumbing:
 
     def test_prefetch_warms_cache(self, small_trace):
         content = SharedContentIndex(small_trace)
-        keys = sample_keys(content, n=10)
+        keys = sample_keys(content, small_trace, n=10)
         content.prefetch_keys(keys)
         assert all(k in content._match_cache for k in keys)
 

@@ -156,7 +156,8 @@ class TestLaneKernel:
         degree = np.diff(offsets)
         rows = np.flatnonzero(degree)
         active = np.flatnonzero(send)
-        pulled = _pull(send, topo.neighbors, rows, offsets[rows])
+        scratch = np.empty(topo.neighbors.size, dtype=np.uint64)
+        pulled = _pull(send, topo.neighbors, rows, offsets[rows], scratch)
         pushed = _push(send, active, degree[active], offsets, topo.neighbors)
         np.testing.assert_array_equal(pushed, pulled)
         # Spot-check the OR itself on every node.

@@ -102,21 +102,21 @@ class TestProtocolFacade:
         b = QueryMessage(terms=("x",), ttl=1)
         assert a.guid != b.guid
 
-    def test_answer_returns_hit(self, network):
-        trace = network.content.trace
+    def test_answer_returns_hit(self, network, small_trace):
+        trace = small_trace
         peer = int(trace.peer_of_instance[0])
         name = trace.names.lookup(int(trace.name_ids[0]))
         terms = tuple(tokenize_name(name)[:1])
         msg = QueryMessage(terms=terms, ttl=1)
-        hit = network.answer(msg, peer)
+        hit = network.answer(msg, peer, small_trace)
         assert isinstance(hit, QueryHit)
         assert hit.responder == peer
         assert hit.n_results >= 1
         assert any(terms[0] in tokenize_name(n) for n in hit.file_names)
 
-    def test_answer_miss_returns_empty_hit(self, network):
+    def test_answer_miss_returns_empty_hit(self, network, small_trace):
         msg = QueryMessage(terms=("zzzznotaterm",), ttl=1)
-        hit = network.answer(msg, 0)
+        hit = network.answer(msg, 0, small_trace)
         assert hit.guid == msg.guid
         assert hit.n_results == 0
         assert hit.file_names == ()

@@ -19,8 +19,8 @@ def qrp_setup(small_content):
     return topo, tables
 
 
-def real_terms(content, n=1) -> list[str]:
-    name = content.trace.names.lookup(int(content.trace.name_ids[0]))
+def real_terms(trace, n=1) -> list[str]:
+    name = trace.names.lookup(int(trace.name_ids[0]))
     return tokenize_name(name)[:n]
 
 
@@ -29,17 +29,17 @@ class TestQrpTables:
         with pytest.raises(ValueError, match="power of two"):
             QrpTables(small_content, table_size=1000)
 
-    def test_no_false_negatives(self, qrp_setup, small_content):
+    def test_no_false_negatives(self, qrp_setup, small_content, small_trace):
         """Every peer holding a matching file must pass the QRT check."""
         _, tables = qrp_setup
-        terms = real_terms(small_content, n=2)
+        terms = real_terms(small_trace, n=2)
         match = tables.peers_matching(terms)
         truth = small_content.matching_peers(terms)
         assert match[truth].all()
 
-    def test_false_positive_rate_low(self, qrp_setup, small_content):
+    def test_false_positive_rate_low(self, qrp_setup, small_content, small_trace):
         _, tables = qrp_setup
-        terms = real_terms(small_content, n=2)
+        terms = real_terms(small_trace, n=2)
         match = tables.peers_matching(terms)
         truth = np.zeros(small_content.n_peers, dtype=bool)
         truth[small_content.matching_peers(terms)] = True
@@ -57,10 +57,10 @@ class TestQrpTables:
 
 
 class TestQrpFlood:
-    def test_never_loses_results(self, qrp_setup, small_content):
+    def test_never_loses_results(self, qrp_setup, small_content, small_trace):
         """QRP must deliver to every leaf that actually matches."""
         topo, tables = qrp_setup
-        terms = real_terms(small_content, n=1)
+        terms = real_terms(small_trace, n=1)
         result = qrp_flood(topo, tables, 0, terms, ttl=3)
         plain = flood(topo, 0, 3)
         hits = small_content.match(terms)
@@ -70,9 +70,9 @@ class TestQrpFlood:
         # Matching peers the plain flood reached must still be delivered.
         assert (hit_peers & reached_plain) <= delivered
 
-    def test_saves_messages(self, qrp_setup, small_content):
+    def test_saves_messages(self, qrp_setup, small_trace):
         topo, tables = qrp_setup
-        terms = real_terms(small_content, n=2)
+        terms = real_terms(small_trace, n=2)
         result = qrp_flood(topo, tables, 0, terms, ttl=4)
         assert result.messages <= result.messages_without_qrp
         assert 0.0 <= result.savings < 1.0
@@ -98,19 +98,18 @@ class TestQrpFlood:
         ups_qrp = {v for v in result.delivered.tolist() if topo.forwards[v]}
         assert ups_plain == ups_qrp
 
-    def test_false_positives_counted(self, qrp_setup, small_content):
+    def test_false_positives_counted(self, qrp_setup, small_trace):
         topo, tables = qrp_setup
-        terms = real_terms(small_content, n=1)
+        terms = real_terms(small_trace, n=1)
         result = qrp_flood(topo, tables, 0, terms, ttl=4)
         assert result.false_positive_deliveries >= 0
         assert result.false_positive_deliveries <= result.delivered.size
 
 
 class TestQrpFloodBatch:
-    def workload(self, content, n=30):
-        trace = content.trace
+    def workload(self, trace, n=30):
         rng = make_rng(21)
-        sources = rng.integers(0, content.n_peers, size=n)
+        sources = rng.integers(0, trace.n_peers, size=n)
         queries = []
         for _ in range(n):
             inst = int(rng.integers(0, min(30, trace.n_instances)))
@@ -119,9 +118,9 @@ class TestQrpFloodBatch:
         queries[-1] = ["qqqq-unknown-term-qqqq"]
         return sources, queries
 
-    def test_matches_scalar_qrp_flood(self, qrp_setup, small_content):
+    def test_matches_scalar_qrp_flood(self, qrp_setup, small_trace):
         topo, tables = qrp_setup
-        sources, queries = self.workload(small_content)
+        sources, queries = self.workload(small_trace)
         out = qrp_flood_batch(topo, tables, sources, queries, ttl=3)
         assert out.n_queries == sources.size
         for i in range(sources.size):
@@ -135,9 +134,9 @@ class TestQrpFloodBatch:
             )
             assert float(out.savings[i]) == scalar.savings
 
-    def test_shared_cache_identical(self, qrp_setup, small_content):
+    def test_shared_cache_identical(self, qrp_setup, small_trace):
         topo, tables = qrp_setup
-        sources, queries = self.workload(small_content, n=15)
+        sources, queries = self.workload(small_trace, n=15)
         fresh = qrp_flood_batch(topo, tables, sources, queries, ttl=3)
         shared = qrp_flood_batch(
             topo, tables, sources, queries, ttl=3, cache=FloodDepthCache(topo)
