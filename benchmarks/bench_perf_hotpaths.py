@@ -6,7 +6,8 @@ else is built on — the pieces the hpc-parallel guidance says to keep
 vectorized.  Regressions here slow every experiment, so they get
 dedicated timings: Zipf sampling, replica counting, flooding, Bloom
 probing and Chord routing — and the start-up of ``repro serve``, which
-a restart to swap state pays in full.
+a restart to swap state pays in full, and the bytes its match cache
+keeps alive.
 """
 
 from __future__ import annotations
@@ -408,6 +409,64 @@ def test_perf_chord_lookup(benchmark):
 
     hops = benchmark(run)
     assert hops >= 0
+
+
+def _root(array: np.ndarray) -> np.ndarray:
+    """The array at the end of ``array``'s base chain."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_perf_match_cache_retention(benchmark, n_shards):
+    """Bytes the match cache keeps alive, against the bytes of its rows.
+
+    40 batches of 500 keys of the 5k-node fixture, drawn as perfbench's
+    serve-batch warm-up draws them (Zipf 0.9 over the first 16,384
+    distinct workload queries), are prefetched the way the engine's
+    serial path prefetches a round: through the reader of a published
+    posting set.  ``retained_bytes`` sums the distinct buffers reachable
+    from the cached rows, the index's own postings aside; a row that
+    views a per-batch gather would keep that whole buffer alive.
+    """
+    from repro.core.experiment import build_content_index, build_trace_bundle
+    from repro.overlay.batch import posting_reader
+    from repro.runtime.shm import ShardedPostings
+    from repro.serve.load import build_query_pool
+    from repro.tracegen.gnutella_trace import GnutellaTraceConfig
+
+    bundle = build_trace_bundle(trace_config=GnutellaTraceConfig(n_peers=5_000))
+    content = build_content_index(bundle.trace)
+    pool = build_query_pool(bundle.workload, 16_384)
+    weights = np.arange(1, len(pool) + 1, dtype=np.float64) ** -0.9
+    weights /= weights.sum()
+    picks = make_rng(5).choice(len(pool), size=(40, 500), p=weights)
+    keys = [content.query_key(q) for q in pool]
+    batches = [[keys[p] for p in row if keys[p] is not None] for row in picks]
+    elapsed: list[float] = []
+
+    def prefetch_all() -> None:
+        with ShardedPostings(content, n_shards=n_shards) as share:
+            reader = posting_reader(share.provider)
+            t0 = time.perf_counter()
+            for batch in batches:
+                content.prefetch_keys(batch, provider=reader)
+            elapsed.append(time.perf_counter() - t0)
+
+    benchmark.pedantic(prefetch_all, rounds=1, iterations=1)
+    rows = list(content._match_cache.values())
+    postings = _root(content.dense_postings().posting_instances)
+    roots = {id(r): r for r in map(_root, rows) if r is not postings}
+    row_bytes = sum(r.nbytes for r in rows)
+    retained_bytes = sum(r.nbytes for r in roots.values())
+    n_rows = sum(len(batch) for batch in batches)
+    benchmark.extra_info["row_bytes"] = row_bytes
+    benchmark.extra_info["retained_bytes"] = retained_bytes
+    benchmark.extra_info["prefetch_us_per_row"] = round(elapsed[0] / n_rows * 1e6, 2)
+    print(f"\n{n_shards} shard(s): {len(rows)} rows, {row_bytes / 1e6:.2f} MB of rows, "
+          f"{retained_bytes / 1e6:.2f} MB retained")
+    assert retained_bytes <= row_bytes
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -15,17 +15,26 @@ Usage::
         run_flood(...)
 
 Completed spans are collected by :func:`completed_spans` and embedded
-in the ``--metrics`` manifest (see :mod:`repro.obs.manifest`).
+in the ``--metrics`` manifest (see :mod:`repro.obs.manifest`).  The
+store keeps the most recent 4,096 records, so a long-lived process
+that opens spans per request holds bounded memory; each record pushed
+out counts in the ``obs.spans.dropped`` counter.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.obs.metrics import metrics
+
 __all__ = ["SpanRecord", "span", "completed_spans", "reset_spans"]
+
+#: Bound of the span store: the most recent records are kept.
+_MAX_SPANS = 4096
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,7 @@ class SpanRecord:
         return doc
 
 
-_COMPLETED: list[SpanRecord] = []
+_COMPLETED: deque[SpanRecord] = deque(maxlen=_MAX_SPANS)
 _DEPTH = [0]  # single-element list so the nesting level survives reassignment
 
 
@@ -69,6 +78,8 @@ def span(name: str, **attrs: object) -> Iterator[None]:
         yield
     finally:
         _DEPTH[0] = depth
+        if len(_COMPLETED) == _MAX_SPANS:
+            metrics().inc("obs.spans.dropped")
         _COMPLETED.append(
             SpanRecord(
                 name=name,
@@ -80,7 +91,7 @@ def span(name: str, **attrs: object) -> Iterator[None]:
 
 
 def completed_spans() -> list[SpanRecord]:
-    """All spans finished so far, in completion order."""
+    """The most recent 4,096 finished spans, in completion order."""
     return list(_COMPLETED)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.obs import metrics
 from repro.overlay.content import (
+    PostingShardSet,
     PostingsProvider,
     QueryKey,
     SharedContentIndex,
@@ -43,7 +44,7 @@ from repro.overlay.content import (
 from repro.overlay.flooding import DEPTH_DTYPE, FloodDepthCache
 from repro.overlay.topology import Topology
 
-__all__ = ["BatchOutcome", "BatchQueryEngine"]
+__all__ = ["BatchOutcome", "BatchQueryEngine", "posting_reader"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY_DEPTH = np.empty(0, dtype=DEPTH_DTYPE)
@@ -120,6 +121,20 @@ class BatchOutcome:
             messages=np.concatenate([p.messages for p in parts]),
             peers_probed=np.concatenate([p.peers_probed for p in parts]),
         )
+
+
+def posting_reader(postings: PostingsProvider) -> PostingsProvider:
+    """The provider the match kernel reads for ``postings``.
+
+    A one-shard set is read through its zero-copy flat view, so the
+    kernel slices the published arrays directly instead of gathering
+    every distinct term's list into a fresh buffer per call.  Rows read
+    this way view the provider's memory: only a consumer whose owner
+    outlives them may keep them (the match cache stores copies).
+    """
+    if isinstance(postings, PostingShardSet) and postings.n_shards == 1:
+        return postings.flat()
+    return postings
 
 
 def _validate_schedule(ttl_schedule: tuple[int, ...], min_results: int) -> None:
@@ -210,17 +225,16 @@ def _chunk_task(
     Attaches the shared topology and the posting shards, pre-intersects
     the chunk's distinct keys in one batch-kernel pass, then runs the
     same pure core as the serial path with a worker-local flood cache.
-    A one-shard posting attachment is read through its flat view, so
-    the flat kernels run unchanged; the matches are task-local, so no
-    cache outlives the mapping they slice.  Flood evaluation is
-    deterministic, so the task runs with ``needs_rng=False``.
+    The postings are read through :func:`posting_reader`; the matches
+    are task-local, so no cache outlives the mapping they slice.  Flood
+    evaluation is deterministic, so the task runs with
+    ``needs_rng=False``.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
     from repro.runtime.shm import attach_postings, attach_topology
 
     sources, keys = chunk
-    shards = attach_postings(post_spec)  # type: ignore[arg-type]
-    postings: PostingsProvider = shards.flat() if shards.n_shards == 1 else shards
+    postings = posting_reader(attach_postings(post_spec))  # type: ignore[arg-type]
     cache = _WORKER_CACHES.get(topo_spec)
     if cache is None:
         cache = FloodDepthCache(attach_topology(topo_spec))  # type: ignore[arg-type]
@@ -291,8 +305,9 @@ class BatchQueryEngine:
         self.topo_spec = topo_spec
         # Optional posting-list provider override (e.g. an attached
         # PostingShardSet): the serial path prefetches misses through
-        # it, and the fan-out path reuses its already-published shm
-        # segments instead of re-exporting the dense arrays.
+        # its posting_reader, and the fan-out path reuses its
+        # already-published shm segments instead of re-exporting the
+        # dense arrays.
         self.postings = postings
         self.flood_cache = FloodDepthCache(
             topology, max_entries=flood_cache_entries
@@ -374,8 +389,10 @@ class BatchQueryEngine:
             # Warm the match cache for every distinct miss in one
             # batch-kernel pass; the pure core below then only ever
             # takes cache hits.
+            postings = self.postings
             self.content.prefetch_keys(
-                [k for k in keys if k is not None], provider=self.postings
+                [k for k in keys if k is not None],
+                provider=None if postings is None else posting_reader(postings),
             )
             return _evaluate_keys(
                 self.flood_cache,

@@ -14,7 +14,9 @@ Three evaluation paths share one core:
 * :meth:`SharedContentIndex.match` — one query at a time, memoized
   through a bounded LRU keyed by the query's term-id tuple, so the
   Zipf-repeated popular queries that dominate real workloads
-  re-intersect their posting lists only once per process;
+  re-intersect their posting lists only once per process.  A cached
+  row owns its memory or slices the index's own postings, so the LRU
+  keeps no batch buffer and no provider's shared memory alive;
 * :meth:`SharedContentIndex.match_batch` — a whole workload at once,
   deduplicated by term-id tuple and returned as one
   :class:`BatchMatches` CSR structure;
@@ -754,12 +756,32 @@ class SharedContentIndex:
             ids.add(tid)
         return tuple(sorted(ids))
 
-    def _cache_store(self, key: tuple[int, ...], result: np.ndarray) -> None:
-        """Insert one match result into the bounded LRU."""
+    def _cache_store(self, key: tuple[int, ...], result: np.ndarray) -> np.ndarray:
+        """Insert one match result into the bounded LRU; return the stored row.
+
+        A stored row owns its memory or slices the index's own posting
+        array, nothing else.  A kernel row is often a view of a
+        per-call buffer (a posting gather, the survivors of a pass), and
+        one cached view would keep that whole buffer alive; or of a
+        provider's shared memory, which ``close()`` unmaps under it (a
+        numpy view does not stop that).  Such a row is stored as a
+        compact read-only copy.
+        """
+        if result.base is not None and not np.may_share_memory(
+            result, self._posting_instances
+        ):
+            result = result.copy()
+            result.flags.writeable = False
         self._match_cache[key] = result
         if len(self._match_cache) > _MATCH_CACHE_MAX:
             self._match_cache.popitem(last=False)
             metrics().inc("match.cache.evictions")
+        return result
+
+    @property
+    def match_cache_nbytes(self) -> int:
+        """Bytes the match LRU owns (rows slicing the postings own none)."""
+        return sum(r.nbytes for r in self._match_cache.values() if r.base is None)
 
     def match_key(self, key: tuple[int, ...]) -> np.ndarray:
         """Matching instances for a canonical key, memoized.
@@ -782,8 +804,7 @@ class SharedContentIndex:
             )
         else:
             result = intersect_postings_batch(self._postings, [key])[0]
-        self._cache_store(key, result)
-        return result
+        return self._cache_store(key, result)
 
     def match_keys(
         self,
@@ -794,9 +815,10 @@ class SharedContentIndex:
 
         Cache hits are served from the LRU; all misses go through one
         :func:`intersect_postings_batch` call (against ``provider`` if
-        given, else the active provider) and land in the cache.  Hit and
-        miss counters tally once per element of ``keys``, matching a
-        loop of :meth:`match_key` calls.
+        given, else the active provider) and land in the cache; the
+        stored rows are what comes back.  Hit and miss counters tally
+        once per element of ``keys``, matching a loop of
+        :meth:`match_key` calls.
         """
         registry = metrics()
         results: list[np.ndarray | None] = []
@@ -817,7 +839,7 @@ class SharedContentIndex:
                 provider if provider is not None else self.postings, miss_keys
             )
             for key, row in zip(miss_keys, rows):
-                self._cache_store(key, row)
+                row = self._cache_store(key, row)
                 for i in missing[key]:
                     results[i] = row
         return cast("list[np.ndarray]", results)

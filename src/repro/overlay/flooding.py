@@ -452,6 +452,14 @@ class FloodDepthCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the cached depth maps and cumulative counts."""
+        return sum(
+            e.depth.nbytes + e.cum_messages.nbytes + e.cum_reached.nbytes
+            for e in self._entries.values()
+        )
+
     def entry(self, source: int, min_depth: int) -> DepthEntry:
         """The cached BFS of ``source``, valid to at least ``min_depth``."""
         if min_depth < 0:

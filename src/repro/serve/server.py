@@ -6,7 +6,8 @@ Routes::
     POST /resolvability  topology-free oracle resolvability
     POST /flood-probe    reach + message cost of one flood
     GET  /healthz        liveness + resident-state summary
-    GET  /metrics        the process metrics registry as JSON
+    GET  /metrics        the process metrics registry as JSON, with the
+                         cache byte gauges set at scrape time
 
 Lifecycle: :meth:`OverlayQueryServer.run` installs SIGTERM/SIGINT
 handlers on the loop, serves until one fires (or :meth:`request_stop`
@@ -232,5 +233,10 @@ class OverlayQueryServer:
         return render_response(200, json_bytes(body))
 
     async def _handle_metrics(self, request: HttpRequest) -> bytes:
-        snapshot = metrics().snapshot().as_dict()
+        # Set at scrape time: a pmap worker's delta would overwrite a
+        # gauge set earlier (``MetricsRegistry.merge``).
+        registry = metrics()
+        for name, nbytes in self.state.cache_bytes().items():
+            registry.gauge(name, nbytes)
+        snapshot = registry.snapshot().as_dict()
         return render_response(200, json_bytes(snapshot))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import get_logger, span
-from repro.overlay.batch import BatchQueryEngine
+from repro.overlay.batch import BatchQueryEngine, posting_reader
 from repro.overlay.content import SharedContentIndex, partition_postings
 from repro.overlay.topology import Topology
 from repro.runtime.shm import ShardedPostings, SharedTopology
@@ -160,7 +160,7 @@ class ServiceState:
         keys = [self.content.query_key(list(q)) for q in queries]
         self.content.prefetch_keys(
             [k for k in keys if k is not None],
-            provider=self.shared_postings.provider,
+            provider=posting_reader(self.shared_postings.provider),
         )
         n_results: list[int] = []
         n_peers: list[int] = []
@@ -181,6 +181,19 @@ class ServiceState:
             "n_results": n_results,
             "n_peers": n_peers,
             "resolvable": [n > 0 for n in n_results],
+        }
+
+    def cache_bytes(self) -> dict[str, int]:
+        """Bytes the match and depth caches hold, by gauge name.
+
+        ``match.cache.bytes`` counts the rows the match LRU owns (rows
+        that slice the index's postings own none);
+        ``flood.cache.bytes`` the depth maps and cumulative counts of
+        the depth cache's entries.
+        """
+        return {
+            "match.cache.bytes": self.content.match_cache_nbytes,
+            "flood.cache.bytes": self.engine.flood_cache.nbytes,
         }
 
     def flood_probe(self, source: int, ttl: int) -> dict:

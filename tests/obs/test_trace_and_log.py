@@ -6,7 +6,14 @@ import logging
 
 import pytest
 
-from repro.obs import completed_spans, get_logger, log_event, reset_spans, span
+from repro.obs import (
+    completed_spans,
+    get_logger,
+    log_event,
+    metrics,
+    reset_spans,
+    span,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -53,6 +60,18 @@ class TestSpans:
     def test_reset_clears_trace(self):
         with span("x"):
             pass
+        reset_spans()
+        assert completed_spans() == []
+
+    def test_store_keeps_the_most_recent_spans_and_counts_the_rest(self):
+        before = metrics().counter("obs.spans.dropped")
+        for i in range(10_000):
+            with span("request", i=i):
+                pass
+        records = completed_spans()
+        assert isinstance(records, list)
+        assert [r.attrs["i"] for r in records] == list(range(5_904, 10_000))
+        assert metrics().counter("obs.spans.dropped") - before == 5_904
         reset_spans()
         assert completed_spans() == []
 

@@ -8,6 +8,8 @@ the genuine attach/publish path.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.overlay.content import SharedContentIndex
 from repro.overlay.topology import Topology, flat_random
 from repro.serve.load import build_query_pool
 from repro.serve.protocol import SearchRequest, encode_outcome
+from repro.serve.service import QueryService
 from repro.serve.state import ServiceState
 from repro.tracegen.query_trace import QueryWorkload
 
@@ -69,3 +72,28 @@ def direct_reply(state: ServiceState, request: SearchRequest) -> dict:
         n_workers=1,
     )
     return encode_outcome(outcome)
+
+
+class Gate:
+    """Holds the dispatcher after it takes a job, until opened.
+
+    Wraps the service queue's ``get``: the job it returns waits on an
+    event, so later submissions pile up behind it and drain into the
+    same round once the gate opens.  A dispatcher already waiting in
+    ``get`` takes its next job ungated.
+    """
+
+    def __init__(self, service: QueryService) -> None:
+        self._event = asyncio.Event()
+        queue = service._queue
+        get = queue.get
+
+        async def gated_get():
+            job = await get()
+            await self._event.wait()
+            return job
+
+        queue.get = gated_get  # type: ignore[method-assign]
+
+    def open(self) -> None:
+        self._event.set()

@@ -8,15 +8,19 @@ encodes — socket, framing, queue, micro-batcher and all.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.obs import metrics
+from repro.overlay.content import SharedContentIndex
 from repro.serve.client import ServiceClient
 from repro.serve.http import HttpError
 from repro.serve.server import OverlayQueryServer
 from repro.serve.service import ServicePolicy
+from repro.serve.state import ServiceState
 
-from tests.serve.conftest import direct_reply, make_search
+from tests.serve.conftest import Gate, direct_reply, make_search
 
 
 def _run(coro):
@@ -32,6 +36,15 @@ async def _with_server(state, scenario, *, policy=None):
     finally:
         await client.close()
         await server.shutdown(drain_timeout_s=10.0)
+
+
+async def _until(condition, timeout_s: float = 10.0) -> None:
+    """Yield to the loop until ``condition()`` holds (or fail)."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not condition():
+        assert loop.time() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
 
 
 def _request_body(request) -> dict:
@@ -92,6 +105,36 @@ class TestRoutes:
 
         doc = _run(_with_server(serve_state, scenario))
         assert doc["counters"]["serve.http.requests"] >= 1
+
+    def test_metrics_reports_cache_bytes(
+        self, serve_topology, small_trace, query_pool
+    ):
+        # A private index, so its match cache holds only this server's rows.
+        content = SharedContentIndex(small_trace)
+        request = make_search(
+            query_pool, sources=(4, 30, 77, 90), picks=(0, 1, 2, 7),
+            ttl_schedule=(1, 3),
+        )
+
+        async def scenario(server, client):
+            await client.post("/search", _request_body(request))
+            return (await client.get("/metrics")).json()
+
+        with ServiceState(serve_topology, content) as state:
+            gauges = _run(_with_server(state, scenario))["gauges"]
+            entries = state.engine.flood_cache._entries.values()
+            flood_bytes = sum(
+                e.depth.nbytes + e.cum_messages.nbytes + e.cum_reached.nbytes
+                for e in entries
+            )
+        match_bytes = sum(
+            row.nbytes
+            for row in content._match_cache.values()
+            if row.base is None
+        )
+        assert match_bytes > 0 and flood_bytes > 0
+        assert gauges["match.cache.bytes"] == match_bytes
+        assert gauges["flood.cache.bytes"] == flood_bytes
 
 
 class TestErrorPaths:
@@ -170,6 +213,56 @@ class TestLifecycle:
             return False
 
         assert _run(scenario()) is True
+
+
+class TestDisconnect:
+    def test_client_gone_mid_dispatch_leaks_nothing(
+        self, serve_state, query_pool
+    ):
+        request = make_search(
+            query_pool, sources=(3, 41), picks=(2, 5), ttl_schedule=(1, 3)
+        )
+        body = json.dumps(_request_body(request)).encode()
+        head = (
+            "POST /search HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode()
+
+        async def scenario():
+            server = OverlayQueryServer(serve_state)
+            # Gated before start, so the dispatcher's first job waits.
+            gate = Gate(server.service)
+            await server.start()
+            registry = metrics()
+            admitted = registry.counter("serve.admitted")
+            replied = registry.counter("serve.replies.200")
+            _, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(head + body)
+            await writer.drain()
+            await _until(lambda: registry.counter("serve.admitted") > admitted)
+            writer.close()
+            await writer.wait_closed()
+            gate.open()
+            await _until(
+                lambda: registry.counter("serve.replies.200") > replied
+            )
+            for _ in range(5):
+                await asyncio.sleep(0)
+            moved = registry.counter("serve.replies.200") - replied
+            depth = server.service.queue_depth
+            async with ServiceClient(server.host, server.port) as client:
+                response = await client.post("/search", _request_body(request))
+            await server.shutdown(drain_timeout_s=10.0)
+            current = asyncio.current_task()
+            await _until(lambda: asyncio.all_tasks() == {current})
+            return moved, depth, response.status, response.json()
+
+        moved, depth, status, reply = _run(scenario())
+        assert moved == 1
+        assert depth == 0
+        assert status == 200
+        assert reply == direct_reply(serve_state, request)
 
 
 class TestClient:

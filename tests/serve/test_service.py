@@ -37,7 +37,7 @@ from repro.serve.service import (
 )
 from repro.serve.state import ServiceState
 
-from tests.serve.conftest import direct_reply, make_search
+from tests.serve.conftest import Gate, direct_reply, make_search
 
 
 def _run(coro):
@@ -51,30 +51,6 @@ async def _with_service(state, policy, scenario):
         return await scenario(service)
     finally:
         await service.stop(drain_timeout_s=10.0)
-
-
-class _Gate:
-    """Holds the dispatcher after it takes a job, until opened.
-
-    Wraps the service queue's ``get``: the job it returns waits on an
-    event, so later submissions pile up behind it and drain into the
-    same round once the gate opens.
-    """
-
-    def __init__(self, service: QueryService) -> None:
-        self._event = asyncio.Event()
-        queue = service._queue
-        get = queue.get
-
-        async def gated_get():
-            job = await get()
-            await self._event.wait()
-            return job
-
-        queue.get = gated_get  # type: ignore[method-assign]
-
-    def open(self) -> None:
-        self._event.set()
 
 
 class TestPolicyValidation:
@@ -122,7 +98,7 @@ class TestGoldenParity:
         ]
 
         async def scenario(service):
-            gate = _Gate(service)
+            gate = Gate(service)
             # Hold the dispatcher on a sacrificial job so the real
             # requests pile up and dispatch in its round.
             blocker = service.submit(
@@ -217,7 +193,7 @@ class TestAdmissionControl:
         request = make_search(query_pool, sources=(1,), picks=(0,))
 
         async def scenario(service):
-            gate = _Gate(service)
+            gate = Gate(service)
             running = service.submit(request)
             await asyncio.sleep(0.05)  # dispatcher now held by the gate
             queued = [service.submit(request) for _ in range(2)]
@@ -242,7 +218,7 @@ class TestAdmissionControl:
         policy = ServicePolicy()
 
         async def scenario(service):
-            gate = _Gate(service)
+            gate = Gate(service)
             blocker = service.submit(
                 make_search(query_pool, sources=(0,), picks=(0,))
             )

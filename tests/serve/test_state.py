@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro.core.experiment as experiment
 from repro.core.experiment import build_content_index
 from repro.obs import metrics
+from repro.overlay.content import intersect_postings
 from repro.serve.http import json_bytes
 from repro.serve.load import build_query_pool
 from repro.serve.state import ServiceConfig, ServiceState
@@ -88,3 +90,31 @@ class TestFromConfig:
         assert not hasattr(content, "trace")
         assert content.n_instances == warm_service_cache.bundle.trace.n_instances
         assert type(content.n_instances) is int
+
+
+class TestMatchCacheRows:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_cached_rows_outlive_the_published_segments(
+        self, warm_service_cache, monkeypatch, n_shards
+    ):
+        # The index outlives the state; its cached rows must not view
+        # the segments close() unmaps.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(warm_service_cache.path))
+        pool = build_query_pool(warm_service_cache.bundle.workload, 512)
+        rng = make_rng(9)
+        config = ServiceConfig(n_nodes=SERVICE_NODES, n_shards=n_shards)
+        with ServiceState.from_config(config) as state:
+            content = state.content
+            keys = [content.query_key(q) for q in pool]
+            state.engine.evaluate_keys(
+                rng.integers(0, SERVICE_NODES, size=len(keys)),
+                keys,
+                ttl_schedule=(1, 3),
+            )
+            state.resolvability(tuple(tuple(q) for q in pool[:64]))
+        assert len(content._match_cache) > 100
+        for key, row in content._match_cache.items():
+            expected = intersect_postings(
+                content._posting_offsets, content._posting_instances, key
+            )
+            np.testing.assert_array_equal(row, expected)
