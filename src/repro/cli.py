@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8642, help="0 picks a free port"
     )
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="term-range shards of the published posting lists",
-    )
-    serve.add_argument(
-        "--engine-workers", type=int, default=1,
-        help="engine fan-out width per micro-batch",
-    )
     serve.add_argument("--max-queue", type=int, default=256)
     serve.add_argument(
         "--timeout", type=float, default=10.0,
@@ -576,48 +568,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
 
-    from repro.runtime.shm import cleanup_on_signal
     from repro.serve.server import OverlayQueryServer
     from repro.serve.service import ServicePolicy
     from repro.serve.state import ServiceConfig, ServiceState
 
-    # Installed before any shm segment exists: a SIGTERM during the
-    # (potentially long) artifact build must still unlink everything.
-    # While the event loop runs it takes over the same signals for the
-    # graceful-drain path.
-    uninstall = cleanup_on_signal()
-    try:
-        config = ServiceConfig(
-            n_nodes=args.nodes,
-            seed=args.seed,
-            n_shards=args.shards,
-            engine_workers=args.engine_workers,
+    config = ServiceConfig(n_nodes=args.nodes, seed=args.seed)
+    policy = ServicePolicy(
+        max_queue=args.max_queue,
+        default_timeout_s=args.timeout,
+    )
+    with ServiceState.from_config(config) as state:
+        server = OverlayQueryServer(
+            state, policy=policy, host=args.host, port=args.port
         )
-        policy = ServicePolicy(
-            max_queue=args.max_queue,
-            default_timeout_s=args.timeout,
+
+        def announce(srv: OverlayQueryServer) -> None:
+            print(
+                f"serving {state.n_nodes:,} nodes on "
+                f"http://{srv.host}:{srv.port}",
+                flush=True,
+            )
+            if args.ready_file:
+                Path(args.ready_file).write_text(f"{srv.host} {srv.port}\n")
+
+        asyncio.run(
+            server.run(drain_timeout_s=args.drain_timeout, ready=announce)
         )
-        with ServiceState.from_config(config) as state:
-            server = OverlayQueryServer(
-                state, policy=policy, host=args.host, port=args.port
-            )
-
-            def announce(srv: OverlayQueryServer) -> None:
-                print(
-                    f"serving {state.n_nodes:,} nodes on "
-                    f"http://{srv.host}:{srv.port}",
-                    flush=True,
-                )
-                if args.ready_file:
-                    Path(args.ready_file).write_text(f"{srv.host} {srv.port}\n")
-
-            asyncio.run(
-                server.run(
-                    drain_timeout_s=args.drain_timeout, ready=announce
-                )
-            )
-    finally:
-        uninstall()
     print("drained and shut down cleanly")
     return 0
 

@@ -57,16 +57,10 @@ class FloodStrategy:
         return out.succeeded, float(out.messages)
 
     def search_batch(
-        self,
-        sources: np.ndarray,
-        queries: Sequence[list[str]],
-        *,
-        n_workers: int = 1,
+        self, sources: np.ndarray, queries: Sequence[list[str]]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized replay: one batched pass over the whole sample."""
-        out = self.network.query_batch(
-            sources, queries, ttl=self.ttl, n_workers=n_workers
-        )
+        out = self.network.query_batch(sources, queries, ttl=self.ttl)
         return out.success, out.messages.astype(np.float64)
 
 
@@ -110,15 +104,11 @@ class ExpandingRingStrategy:
         return out.succeeded, float(out.messages)
 
     def search_batch(
-        self,
-        sources: np.ndarray,
-        queries: Sequence[list[str]],
-        *,
-        n_workers: int = 1,
+        self, sources: np.ndarray, queries: Sequence[list[str]]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized replay: every ring is a slice of one cached BFS."""
         out = self.network.query_batch(
-            sources, queries, ttl_schedule=self.ttl_schedule, n_workers=n_workers
+            sources, queries, ttl_schedule=self.ttl_schedule
         )
         return out.success, out.messages.astype(np.float64)
 
@@ -157,15 +147,13 @@ def replay(
     n_queries: int = 100,
     source_pool: np.ndarray | None = None,
     seed: int = 0,
-    n_workers: int = 1,
 ) -> list[StrategyStats]:
     """Run every strategy over one identical query/source sample.
 
     Strategies exposing a ``search_batch`` method (floods, expanding
     rings) are replayed through the batched query engine — identical
-    results, one deduplicated pass — with ``n_workers`` controlling
-    its shared-memory fan-out.  The rest fall back to the per-query
-    loop.
+    results, one deduplicated pass.  The rest fall back to the
+    per-query loop.
     """
     if not strategies:
         raise ValueError("need at least one strategy")
@@ -183,7 +171,7 @@ def replay(
     for strategy in strategies:
         batch = getattr(strategy, "search_batch", None)
         if batch is not None:
-            ok, msgs = batch(sources, queries, n_workers=n_workers)
+            ok, msgs = batch(sources, queries)
         else:
             ok = np.zeros(n_queries, dtype=bool)
             msgs = np.zeros(n_queries, dtype=np.float64)

@@ -16,7 +16,7 @@ Three evaluation paths share one core:
   Zipf-repeated popular queries that dominate real workloads
   re-intersect their posting lists only once per process.  A cached
   row owns its memory or slices the index's own postings, so the LRU
-  keeps no batch buffer and no provider's shared memory alive;
+  keeps no batch buffer alive;
 * :meth:`SharedContentIndex.match_batch` — a whole workload at once,
   deduplicated by term-id tuple and returned as one
   :class:`BatchMatches` CSR structure;
@@ -648,18 +648,14 @@ class SharedContentIndex:
         )
         self._posting_offsets = offsets.astype(INDEX_DTYPE, copy=False)
         self._posting_instances = instances.astype(INDEX_DTYPE, copy=False)
-        #: provider override installed via :meth:`use_postings`.
-        self._postings: PostingsProvider | None = None
         #: bounded LRU over distinct query keys -> match arrays.
         self._match_cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
 
     def __getstate__(self) -> dict[str, object]:
-        # The memo cache and provider override are derived/runtime
-        # state; keep pickles (e.g. the on-disk artifact cache) lean
-        # and deterministic.
+        # The memo cache is derived runtime state; keep pickles (e.g.
+        # the on-disk artifact cache) lean and deterministic.
         state = dict(self.__dict__)
         state["_match_cache"] = OrderedDict()
-        state["_postings"] = None
         state.pop("peer_terms", None)
         return state
 
@@ -678,31 +674,6 @@ class SharedContentIndex:
             posting_instances=self._posting_instances,
             instance_peer=self.instance_peer,
         )
-
-    @property
-    def postings(self) -> PostingsProvider:
-        """Active posting provider (dense unless overridden)."""
-        if self._postings is None:
-            self._postings = self.dense_postings()
-        return self._postings
-
-    def use_postings(self, provider: PostingsProvider | None) -> None:
-        """Serve future (uncached) matches from ``provider``.
-
-        ``None`` restores the index's own dense arrays.  The provider
-        must describe the same postings — results are memoized across
-        the switch.
-        """
-        if provider is not None and (
-            provider.n_terms != self.term_index.n_terms
-            or provider.n_instances != self.n_instances
-        ):
-            raise ValueError(
-                f"provider covers {provider.n_terms} terms / "
-                f"{provider.n_instances} instances, index has "
-                f"{self.term_index.n_terms} / {self.n_instances}"
-            )
-        self._postings = provider
 
     def term_id(self, term: str) -> int | None:
         """Term id for a string, or ``None`` if the term matches nothing."""
@@ -760,11 +731,9 @@ class SharedContentIndex:
         """Insert one match result into the bounded LRU; return the stored row.
 
         A stored row owns its memory or slices the index's own posting
-        array, nothing else.  A kernel row is often a view of a
-        per-call buffer (a posting gather, the survivors of a pass), and
-        one cached view would keep that whole buffer alive; or of a
-        provider's shared memory, which ``close()`` unmaps under it (a
-        numpy view does not stop that).  Such a row is stored as a
+        array, nothing else.  A multi-term kernel row is a view of a
+        per-call buffer (the survivors of a pass), and one cached view
+        would keep that whole buffer alive.  Such a row is stored as a
         compact read-only copy.
         """
         if result.base is not None and not np.may_share_memory(
@@ -798,27 +767,19 @@ class SharedContentIndex:
             registry.inc("match.cache.hits")
             return cached
         registry.inc("match.cache.misses")
-        if self._postings is None:
-            result = intersect_postings(
-                self._posting_offsets, self._posting_instances, key
-            )
-        else:
-            result = intersect_postings_batch(self._postings, [key])[0]
+        result = intersect_postings(
+            self._posting_offsets, self._posting_instances, key
+        )
         return self._cache_store(key, result)
 
-    def match_keys(
-        self,
-        keys: Sequence[tuple[int, ...]],
-        provider: PostingsProvider | None = None,
-    ) -> list[np.ndarray]:
+    def match_keys(self, keys: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
         """Matching instances per canonical key, batch-kernel backed.
 
         Cache hits are served from the LRU; all misses go through one
-        :func:`intersect_postings_batch` call (against ``provider`` if
-        given, else the active provider) and land in the cache; the
-        stored rows are what comes back.  Hit and miss counters tally
-        once per element of ``keys``, matching a loop of
-        :meth:`match_key` calls.
+        :func:`intersect_postings_batch` call over the index's own
+        postings and land in the cache; the stored rows are what comes
+        back.  Hit and miss counters tally once per element of ``keys``,
+        matching a loop of :meth:`match_key` calls.
         """
         registry = metrics()
         results: list[np.ndarray | None] = []
@@ -835,24 +796,28 @@ class SharedContentIndex:
                 missing.setdefault(key, []).append(i)
         if missing:
             miss_keys = list(missing)
-            rows = intersect_postings_batch(
-                provider if provider is not None else self.postings, miss_keys
-            )
+            rows = intersect_postings_batch(self.dense_postings(), miss_keys)
             for key, row in zip(miss_keys, rows):
                 row = self._cache_store(key, row)
                 for i in missing[key]:
                     results[i] = row
         return cast("list[np.ndarray]", results)
 
-    def prefetch_keys(
-        self,
-        keys: Sequence[tuple[int, ...]],
-        provider: PostingsProvider | None = None,
-    ) -> None:
-        """Warm the match LRU for every uncached key in one kernel pass."""
-        fresh = [k for k in dict.fromkeys(keys) if k not in self._match_cache]
+    def prefetch_keys(self, keys: Sequence[tuple[int, ...]]) -> None:
+        """Warm the match LRU for every key of a round in one kernel pass.
+
+        The round's cached keys move to the LRU's recent end first,
+        uncounted, so the round's own misses cannot evict them before
+        the round reads them; the misses go through :meth:`match_keys`.
+        """
+        fresh = []
+        for key in dict.fromkeys(keys):
+            if key in self._match_cache:
+                self._match_cache.move_to_end(key)
+            else:
+                fresh.append(key)
         if fresh:
-            self.match_keys(fresh, provider=provider)
+            self.match_keys(fresh)
 
     def match(self, terms: Sequence[str]) -> np.ndarray:
         """Instances whose names contain all ``terms`` (AND semantics).

@@ -137,7 +137,6 @@ class UnstructuredNetwork:
         ttl: int = 3,
         ttl_schedule: tuple[int, ...] | None = None,
         min_results: int = 1,
-        n_workers: int = 1,
     ) -> BatchOutcome:
         """Evaluate a workload of flood queries in one batched pass.
 
@@ -145,9 +144,7 @@ class UnstructuredNetwork:
         single-TTL schedule each row reproduces
         ``query_flood(sources[i], queries[i], ttl)`` bitwise; passing
         ``ttl_schedule`` reproduces ``expanding_ring_search`` instead
-        (cumulative messages, final-ring results).  ``n_workers > 1``
-        chunks the batch over shared-memory workers with identical
-        results at every worker count.
+        (cumulative messages, final-ring results).
         """
         schedule = ttl_schedule if ttl_schedule is not None else (int(ttl),)
         return self.batch_engine().evaluate(
@@ -155,7 +152,6 @@ class UnstructuredNetwork:
             queries,
             ttl_schedule=schedule,
             min_results=min_results,
-            n_workers=n_workers,
         )
 
     def answer(

@@ -12,10 +12,9 @@ Routes::
 Lifecycle: :meth:`OverlayQueryServer.run` installs SIGTERM/SIGINT
 handlers on the loop, serves until one fires (or :meth:`request_stop`
 is called), then drains — stop accepting, finish admitted jobs, and
-only then return, so the CLI can close the resident state and unlink
-its shared-memory segments.  A *kill* that bypasses the loop is the
-job of :func:`repro.runtime.shm.cleanup_on_signal`, which the CLI
-installs before any segment exists.
+only then return.  The process owns no shared-memory segment, so a
+signal that arrives before the loop runs (during the artifact build)
+needs no handler: the default disposition leaves nothing behind.
 """
 
 from __future__ import annotations

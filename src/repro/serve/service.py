@@ -321,7 +321,6 @@ class QueryService:
             keys,
             ttl_schedule=first.ttl_schedule,
             min_results=first.min_results,
-            n_workers=self.state.engine_workers,
         )
         offset = 0
         for i, request in group:

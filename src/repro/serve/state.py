@@ -2,30 +2,28 @@
 
 :class:`ServiceState` is the load-once half of the serving story: it
 builds (or loads from the mmap-blob artifact cache) the topology and
-content index, publishes them to shared memory **once**, and holds the
-owner handles — :class:`~repro.runtime.shm.SharedTopology` and
-:class:`~repro.runtime.shm.ShardedPostings` — resident for the process
-lifetime.  Every request then dispatches through one
-persistent :class:`~repro.overlay.batch.BatchQueryEngine` whose flood
-and match caches warm monotonically across requests.
-
-Owner handles registered here are exactly what
-:func:`repro.runtime.shm.cleanup_on_signal` unlinks if the process is
-killed mid-request; :meth:`ServiceState.close` is the graceful twin.
+content index and holds them resident for the process lifetime.  Every
+request then dispatches through one persistent
+:class:`~repro.overlay.batch.BatchQueryEngine` over that index, whose
+flood and match caches warm monotonically across requests.  Every
+round is evaluated in-process, so the state publishes nothing: the
+process owns no shared-memory segment.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs import get_logger, span
-from repro.overlay.batch import BatchQueryEngine, posting_reader
-from repro.overlay.content import SharedContentIndex, partition_postings
+from repro.overlay.batch import BatchQueryEngine
+from repro.overlay.content import SharedContentIndex
 from repro.overlay.topology import Topology
-from repro.runtime.shm import ShardedPostings, SharedTopology
+
+# Not called here: perfbench/tracing.py::install_setup wraps these three
+# module attributes by name, and its traced launcher needs them to exist.
+from repro.runtime.shm import ShardedPostings, SharedTopology, partition_postings
 
 __all__ = ["ServiceConfig", "ServiceState"]
 
@@ -34,29 +32,19 @@ _LOG = get_logger(__name__)
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """What one service process loads and how it evaluates.
+    """What one service process loads.
 
     The trace is generated with ``n_peers == n_nodes`` so every overlay
     node shares content — the engine requires the two populations to
-    coincide.  ``n_shards > 1`` partitions the posting lists into that
-    many term-range shards; outcomes are bitwise identical at every
-    setting (the engine's equivalence guarantee), so these are capacity
-    knobs, not semantics knobs.
+    coincide.
     """
 
     n_nodes: int = 5_000
     seed: int = 0
-    n_shards: int = 1
-    #: Engine fan-out width per micro-batch (1 = in-process serial,
-    #: which is right for the small batches admission control forms).
-    engine_workers: int = 1
-    flood_cache_entries: int = 256
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
-        if self.n_shards < 1 or self.engine_workers < 1:
-            raise ValueError("shard/worker counts must be positive")
 
 
 class ServiceState:
@@ -64,49 +52,18 @@ class ServiceState:
 
     Construct from in-memory artifacts (tests hand in small fixtures)
     or via :meth:`from_config`, which goes through the cached builders.
-    Use as a context manager or call :meth:`close`; closing unlinks the
-    published shared-memory segments.
+    It is a context manager that releases nothing: the state owns no
+    resource beyond the memory it holds.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        content: SharedContentIndex,
-        *,
-        n_shards: int = 1,
-        engine_workers: int = 1,
-        flood_cache_entries: int = 256,
-    ) -> None:
+    def __init__(self, topology: Topology, content: SharedContentIndex) -> None:
         self.topology = topology
         self.content = content
-        self.engine_workers = engine_workers
-        self._closed = False
-        # If anything below raises (the engine refuses a node/peer
-        # mismatch), the stack closes what was already published.
-        with ExitStack() as published:
-            with span("serve.publish", shards=n_shards):
-                # Published once, held for the process lifetime: the spec
-                # goes to the engine so even fan-out batches attach these
-                # segments instead of re-exporting per call.
-                self.shared_topology = published.enter_context(
-                    SharedTopology(topology)
-                )
-                self.shared_postings = published.enter_context(
-                    ShardedPostings(partition_postings(content, n_shards))
-                )
-            self.engine = BatchQueryEngine(
-                topology,
-                content,
-                flood_cache_entries=flood_cache_entries,
-                postings=self.shared_postings.provider,
-                topo_spec=self.shared_topology.spec,
-            )
-            published.pop_all()
+        self.engine = BatchQueryEngine(topology, content)
         _LOG.info(
-            "service state resident: %d nodes, %d instances, %d posting shard(s)",
+            "service state resident: %d nodes, %d instances",
             topology.n_nodes,
             content.n_instances,
-            n_shards,
         )
 
     @classmethod
@@ -130,13 +87,7 @@ class ServiceState:
             content = build_content_index(
                 GnutellaTraceConfig(n_peers=config.n_nodes, seed=config.seed)
             )
-        return cls(
-            topology,
-            content,
-            n_shards=config.n_shards,
-            engine_workers=config.engine_workers,
-            flood_cache_entries=config.flood_cache_entries,
-        )
+        return cls(topology, content)
 
     @property
     def n_nodes(self) -> int:
@@ -158,10 +109,7 @@ class ServiceState:
         resolvability notion, served live.
         """
         keys = [self.content.query_key(list(q)) for q in queries]
-        self.content.prefetch_keys(
-            [k for k in keys if k is not None],
-            provider=posting_reader(self.shared_postings.provider),
-        )
+        self.content.prefetch_keys([k for k in keys if k is not None])
         n_results: list[int] = []
         n_peers: list[int] = []
         for key in keys:
@@ -208,16 +156,8 @@ class ServiceState:
             "reach_fraction": reached / self.n_nodes,
         }
 
-    def close(self) -> None:
-        """Unlink published segments (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.shared_postings.close()
-        self.shared_topology.close()
-
     def __enter__(self) -> "ServiceState":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        """Release nothing: the state owns no segment or handle."""

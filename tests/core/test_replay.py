@@ -150,18 +150,3 @@ class TestBatchedReplay:
         rb, rs = replay(small_bundle, [batched, scalar], n_queries=25, seed=6)
         assert rb.success_rate == rs.success_rate
         assert rb.mean_messages == rs.mean_messages
-
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    def test_worker_count_independent(self, small_bundle, stack, n_workers):
-        network, _ = stack
-        serial = replay(
-            small_bundle, [FloodStrategy(network, ttl=2)], n_queries=24, seed=8
-        )
-        parallel = replay(
-            small_bundle,
-            [FloodStrategy(network, ttl=2)],
-            n_queries=24,
-            seed=8,
-            n_workers=n_workers,
-        )
-        assert serial[0] == parallel[0]

@@ -2,8 +2,7 @@
 
 The load-bearing property is bitwise equivalence: every row of a
 :class:`BatchOutcome` must reproduce the scalar path
-(``query_flood`` / ``expanding_ring_search``) exactly, at every worker
-count.
+(``query_flood`` / ``expanding_ring_search``) exactly.
 """
 
 from __future__ import annotations
@@ -75,30 +74,9 @@ class TestFloodEquivalence:
             assert int(out.messages[i]) == scalar.messages
             assert int(out.peers_probed[i]) == scalar.final.peers_probed
 
-    @pytest.mark.parametrize("n_workers", [2, 3, 4])
-    def test_identical_at_every_worker_count(self, network, n_workers, small_trace):
-        sources, queries = sample_workload(small_trace, 50, seed=7)
-        serial = network.query_batch(sources, queries, ttl=3)
-        parallel = network.query_batch(
-            sources, queries, ttl=3, n_workers=n_workers
-        )
-        np.testing.assert_array_equal(serial.success, parallel.success)
-        np.testing.assert_array_equal(serial.n_results, parallel.n_results)
-        np.testing.assert_array_equal(serial.messages, parallel.messages)
-        np.testing.assert_array_equal(serial.peers_probed, parallel.peers_probed)
-
-    def test_parallel_expanding_ring_identical(self, network, small_trace):
-        sources, queries = sample_workload(small_trace, 30, seed=9)
-        serial = network.query_batch(sources, queries, ttl_schedule=(1, 3, 5))
-        parallel = network.query_batch(
-            sources, queries, ttl_schedule=(1, 3, 5), n_workers=4
-        )
-        np.testing.assert_array_equal(serial.success, parallel.success)
-        np.testing.assert_array_equal(serial.messages, parallel.messages)
-
     def test_single_query_batch(self, network, small_trace):
         sources, queries = sample_workload(small_trace, 1)
-        out = network.query_batch(sources, queries, ttl=2, n_workers=4)
+        out = network.query_batch(sources, queries, ttl=2)
         scalar = network.query_flood(int(sources[0]), queries[0], ttl=2)
         assert out.n_queries == 1
         assert int(out.messages[0]) == scalar.messages
@@ -199,62 +177,3 @@ class TestCaches:
         np.testing.assert_array_equal(first.messages, second.messages)
         np.testing.assert_array_equal(first.n_results, second.n_results)
 
-    def test_evaluate_flood_and_ring_helpers(self, network, small_trace):
-        sources, queries = sample_workload(small_trace, 10)
-        engine = network.batch_engine()
-        flood = engine.evaluate_flood(sources, queries, ttl=3)
-        ring = engine.evaluate_expanding_ring(sources, queries)
-        direct = engine.evaluate(sources, queries, ttl_schedule=(3,))
-        np.testing.assert_array_equal(flood.messages, direct.messages)
-        assert ring.n_queries == 10
-
-
-class TestShardedPostingsEquivalence:
-    """Serial-dense == sharded == parallel at every shard/worker count."""
-
-    @pytest.fixture(scope="class")
-    def baseline(self, network, small_trace):
-        sources, queries = sample_workload(small_trace, 48, seed=13)
-        out = network.batch_engine().evaluate(
-            sources, queries, ttl_schedule=(1, 2, 4), min_results=2
-        )
-        return sources, queries, out
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 7])
-    @pytest.mark.parametrize("n_workers", [1, 4])
-    def test_identical_outcomes(
-        self, network, small_trace, baseline, n_shards, n_workers
-    ):
-        from repro.overlay.content import SharedContentIndex, partition_postings
-
-        sources, queries, expected = baseline
-        content = SharedContentIndex(small_trace)
-        engine = BatchQueryEngine(
-            network.topology,
-            content,
-            postings=partition_postings(content, n_shards),
-        )
-        out = engine.evaluate(
-            sources,
-            queries,
-            ttl_schedule=(1, 2, 4),
-            min_results=2,
-            n_workers=n_workers,
-        )
-        np.testing.assert_array_equal(out.success, expected.success)
-        np.testing.assert_array_equal(out.n_results, expected.n_results)
-        np.testing.assert_array_equal(out.messages, expected.messages)
-        np.testing.assert_array_equal(out.peers_probed, expected.peers_probed)
-
-    def test_mismatched_provider_rejected(self, network, small_trace):
-        from repro.overlay.content import DensePostings, SharedContentIndex
-
-        content = SharedContentIndex(small_trace)
-        dense = content.dense_postings()
-        truncated = DensePostings(
-            dense.posting_offsets,
-            dense.posting_instances,
-            dense.instance_peer[:-1],
-        )
-        with pytest.raises(ValueError, match="postings provider"):
-            BatchQueryEngine(network.topology, content, postings=truncated)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.tokenize import tokenize_name
+from repro.obs import metrics
 from repro.overlay import content as content_module
 from repro.overlay.content import (
-    DensePostings,
     SharedContentIndex,
     intersect_postings,
     intersect_postings_batch,
@@ -41,7 +41,7 @@ def sample_keys(content, trace, n=60, seed=7):
 
 @pytest.fixture(scope="module")
 def fresh_content(small_trace):
-    """A module-private index (tests below install provider overrides)."""
+    """A module-private index: nothing here touches the shared fixture."""
     return SharedContentIndex(small_trace)
 
 
@@ -114,36 +114,26 @@ class TestBatchKernel:
 
 
 class TestProviderPlumbing:
-    def test_use_postings_mismatch_rejected(self, small_trace):
-        content = SharedContentIndex(small_trace)
-        dense = content.dense_postings()
-        truncated = DensePostings(
-            dense.posting_offsets, dense.posting_instances, dense.instance_peer[:-1]
-        )
-        with pytest.raises(ValueError, match="provider covers"):
-            content.use_postings(truncated)
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 7])
-    def test_match_batch_parity_across_providers(self, small_trace, n_shards):
-        baseline = SharedContentIndex(small_trace)
-        sharded = SharedContentIndex(small_trace)
-        sharded.use_postings(partition_postings(sharded, n_shards))
-        keys = sample_keys(baseline, small_trace)
-        queries = [
-            [baseline.term_index.terms.lookup(t) for t in key] for key in keys
-        ]
-        a = baseline.match_batch(queries)
-        b = sharded.match_batch(queries)
-        np.testing.assert_array_equal(a.distinct_index, b.distinct_index)
-        np.testing.assert_array_equal(a.offsets, b.offsets)
-        np.testing.assert_array_equal(a.instances, b.instances)
-        assert a.instances.dtype == b.instances.dtype
-
     def test_prefetch_warms_cache(self, small_trace):
         content = SharedContentIndex(small_trace)
         keys = sample_keys(content, small_trace, n=10)
         content.prefetch_keys(keys)
         assert all(k in content._match_cache for k in keys)
+
+    def test_prefetch_keeps_the_rounds_hits(self, small_trace, monkeypatch):
+        # The engine reads every row of a round right after prefetching
+        # it, so the round's misses must not evict the round's hits.
+        monkeypatch.setattr(content_module, "_MATCH_CACHE_MAX", 4)
+        content = SharedContentIndex(small_trace)
+        keys = list(dict.fromkeys(sample_keys(content, small_trace, n=30)))[:5]
+        content.prefetch_keys(keys[:4])
+        assert list(content._match_cache) == keys[:4]
+        oldest, new = keys[0], keys[4]
+        content.prefetch_keys([oldest, new])
+        assert oldest in content._match_cache
+        hits = metrics().counter("match.cache.hits")
+        content.match_key(oldest)
+        assert metrics().counter("match.cache.hits") == hits + 1
 
 
 class TestStreamingBuild:

@@ -4,11 +4,11 @@ Consumers never write attached views, and kernels keep scratch
 discipline; the runtime confirms both dynamically: with
 ``REPRO_SANITIZE=shm`` every attached array is frozen and released
 scratch is poisoned, so any latent write race faults instead of
-corrupting.  These tests run the flood and content paths across
-``pmap`` fan-out shapes (flood count or posting shards x worker count)
-with the sanitizer on and assert zero faults plus outputs
-bitwise-identical to the plain serial reference computed with the
-sanitizer off.
+corrupting.  These tests run the flood paths across ``pmap`` fan-out
+shapes (flood count x worker count) and the content path across
+posting shard counts with the sanitizer on, and assert zero faults
+plus outputs bitwise-identical to the plain serial reference computed
+with the sanitizer off.
 """
 
 from __future__ import annotations
@@ -18,7 +18,11 @@ import pytest
 
 from repro.core.flood_sim import PlacementSpec, run_flood_success
 from repro.overlay.batch import BatchQueryEngine
-from repro.overlay.content import partition_postings
+from repro.overlay.content import (
+    SharedContentIndex,
+    intersect_postings_batch,
+    partition_postings,
+)
 from repro.overlay.flooding import flood_depths, reach_fractions
 from repro.overlay.topology import two_tier_gnutella
 from repro.runtime.sanitize import SANITIZE_ENV, sanitize_faults
@@ -73,32 +77,38 @@ class TestFloodMatrix:
 
 class TestContentMatrix:
     @pytest.fixture(scope="class")
-    def content_setup(self, small_content):
+    def content_setup(self, small_content, small_workload):
+        from repro.serve.load import build_query_pool
+
         content_topo = two_tier_gnutella(small_content.n_peers, seed=4)
-        queries = [["love"], ["the", "you"], ["you"], ["love", "the"]]
-        sources = np.array([0, 7, 60, 100])
+        queries = build_query_pool(small_workload, 32)
+        sources = np.arange(0, 3 * len(queries), 3)
         plain = BatchQueryEngine(content_topo, small_content)
         ref = plain.evaluate(sources, queries, ttl_schedule=(1, 3))
-        return content_topo, queries, sources, ref
+        keys = [k for k in map(small_content.query_key, queries) if k is not None]
+        assert any(len(k) > 1 for k in keys)
+        rows = intersect_postings_batch(small_content.dense_postings(), keys)
+        return content_topo, queries, sources, ref, keys, rows
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
     def test_sanitized_content_parity(
-        self, small_content, content_setup, monkeypatch, n_shards, n_workers
+        self, small_trace, small_content, content_setup, monkeypatch, n_shards
     ):
-        content_topo, queries, sources, ref = content_setup
+        content_topo, queries, sources, ref, keys, rows = content_setup
         monkeypatch.setenv(SANITIZE_ENV, "shm")
         faults_before = sanitize_faults()
-        engine = BatchQueryEngine(
-            content_topo,
-            small_content,
-            postings=partition_postings(small_content, n_shards),
-        )
-        got = engine.evaluate(
-            sources, queries, ttl_schedule=(1, 3), n_workers=n_workers
-        )
+        # A cold index, so the engine's misses run the batch kernel
+        # under the sanitizer.
+        engine = BatchQueryEngine(content_topo, SharedContentIndex(small_trace))
+        got = engine.evaluate(sources, queries, ttl_schedule=(1, 3))
         np.testing.assert_array_equal(got.success, ref.success)
         np.testing.assert_array_equal(got.n_results, ref.n_results)
         np.testing.assert_array_equal(got.messages, ref.messages)
         np.testing.assert_array_equal(got.peers_probed, ref.peers_probed)
+        shard_rows = intersect_postings_batch(
+            partition_postings(small_content, n_shards), keys
+        )
+        for row, want in zip(shard_rows, rows):
+            np.testing.assert_array_equal(row, want)
+            assert row.dtype == want.dtype
         assert sanitize_faults() == faults_before

@@ -115,44 +115,13 @@ class TestMatchCacheRows:
         keys = [small_content.query_key(q) for q in pool]
         return [k for k in keys if k is not None]
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "own",
-            "attached-1", "attached-2", "attached-7",
-            "local-1", "local-2", "local-7",
-        ],
-    )
-    def test_cached_rows_own_their_memory(self, small_trace, keys, source):
-        from contextlib import ExitStack
-
-        from repro.overlay.batch import posting_reader
-        from repro.overlay.content import (
-            SharedContentIndex,
-            intersect_postings,
-            partition_postings,
-        )
-        from repro.runtime.shm import ShardedPostings
+    def test_cached_rows_own_their_memory(self, small_trace, keys):
+        from repro.overlay.content import SharedContentIndex, intersect_postings
 
         content = SharedContentIndex(small_trace)
-        with ExitStack() as stack:
-            if source == "own":
-                providers = [None]
-            else:
-                kind, n_shards = source.split("-")
-                shard_set = partition_postings(content, int(n_shards))
-                if kind == "attached":
-                    shard_set = stack.enter_context(
-                        ShardedPostings(shard_set)
-                    ).provider
-                # The raw set gathers; the engine's reader may view it.
-                providers = [shard_set, posting_reader(shard_set)]
-            for provider in providers:
-                content._match_cache.clear()
-                content.prefetch_keys(keys[:600], provider=provider)
-                _assert_rows_own_their_memory(content)
-                assert content.match_cache_nbytes == _retained_bytes(content)
-        # The rows outlive every published segment, bitwise intact.
+        content.prefetch_keys(keys[:600])
+        _assert_rows_own_their_memory(content)
+        assert content.match_cache_nbytes == _retained_bytes(content)
         assert content._match_cache
         for key, row in content._match_cache.items():
             expected = intersect_postings(
@@ -161,30 +130,23 @@ class TestMatchCacheRows:
             np.testing.assert_array_equal(row, expected)
             assert row.dtype == expected.dtype
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_cache_keeps_no_batch_buffer_alive(
-        self, small_trace, keys, n_shards
-    ):
+    def test_cache_keeps_no_batch_buffer_alive(self, small_trace, keys):
         from repro.overlay.batch import BatchQueryEngine
         from repro.overlay.content import SharedContentIndex
         from repro.overlay.topology import flat_random
-        from repro.runtime.shm import ShardedPostings
         from repro.utils.rng import make_rng
 
         content = SharedContentIndex(small_trace)
         topology = flat_random(content.n_peers, 6.0, seed=7)
         rng = make_rng(13)
-        with ShardedPostings(content, n_shards=n_shards) as share:
-            engine = BatchQueryEngine(
-                topology, content, postings=share.provider
+        engine = BatchQueryEngine(topology, content)
+        for _ in range(30):
+            picks = rng.choice(len(keys), size=64, replace=False)
+            engine.evaluate_keys(
+                rng.integers(0, content.n_peers, size=picks.size),
+                [keys[int(p)] for p in picks],
+                ttl_schedule=(1,),
             )
-            for _ in range(30):
-                picks = rng.choice(len(keys), size=64, replace=False)
-                engine.evaluate_keys(
-                    rng.integers(0, content.n_peers, size=picks.size),
-                    [keys[int(p)] for p in picks],
-                    ttl_schedule=(1,),
-                )
         rows = content._match_cache.values()
         row_bytes = sum(r.nbytes for r in rows)
         assert len(content._match_cache) > 500

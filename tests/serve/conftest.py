@@ -1,9 +1,8 @@
 """Fixtures for the serving layer: one resident state per package.
 
-The state publishes shared-memory segments and holds the engine
-resident, exactly like a real server process; building it once per
-test package keeps the suite fast while every test still goes through
-the genuine attach/publish path.
+The state holds the index and the engine resident, exactly like a real
+server process; building it once per test package keeps the suite fast
+while its caches warm across tests as they do across requests.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ def direct_reply(state: ServiceState, request: SearchRequest) -> dict:
         keys,
         ttl_schedule=request.ttl_schedule,
         min_results=request.min_results,
-        n_workers=1,
     )
     return encode_outcome(outcome)
 

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.analysis.tokenize import tokenize_name
 from repro.obs import metrics
 from repro.overlay.content import SharedContentIndex
 from repro.serve.client import ServiceClient
@@ -111,8 +112,17 @@ class TestRoutes:
     ):
         # A private index, so its match cache holds only this server's rows.
         content = SharedContentIndex(small_trace)
+        # Single-term rows slice the index's postings and own no bytes;
+        # two terms cut from a shared name match, and their row is a
+        # copy of the kernel's survivors that the cache owns.
+        names = (
+            tokenize_name(small_trace.names.lookup(int(i)))
+            for i in small_trace.name_ids
+        )
+        terms = next(list(dict.fromkeys(t))[:2] for t in names if len(set(t)) > 1)
+        pool = [*query_pool, terms]
         request = make_search(
-            query_pool, sources=(4, 30, 77, 90), picks=(0, 1, 2, 7),
+            pool, sources=(4, 30, 77, 90, 5), picks=(0, 1, 2, 7, len(pool) - 1),
             ttl_schedule=(1, 3),
         )
 

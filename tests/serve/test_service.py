@@ -15,7 +15,6 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.obs import metrics
@@ -25,7 +24,6 @@ from repro.serve.protocol import (
     MAX_QUERIES_PER_REQUEST,
     FloodProbeRequest,
     ResolvabilityRequest,
-    encode_outcome,
 )
 import repro.serve.server as server_mod
 from repro.serve.server import OverlayQueryServer
@@ -117,28 +115,6 @@ class TestGoldenParity:
             assert status == 200
             assert body == direct_reply(serve_state, request)
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_engine_fan_out_reads_the_published_segments(
-        self, serve_topology, small_content, query_pool, n_shards
-    ):
-        # --engine-workers > 1: pmap workers attach the state's topology
-        # and its posting shards instead of re-publishing.
-        request = make_search(
-            query_pool,
-            sources=tuple(range(0, 48, 2)),
-            picks=tuple(i % len(query_pool) for i in range(24)),
-            ttl_schedule=(1, 3),
-        )
-        keys = [small_content.query_key(list(q)) for q in request.queries]
-        sources = np.asarray(request.sources, dtype=np.int64)
-        with ServiceState(
-            serve_topology, small_content, n_shards=n_shards, engine_workers=2
-        ) as state:
-            fanned = state.engine.evaluate_keys(
-                sources, keys, ttl_schedule=(1, 3), n_workers=2
-            )
-            assert encode_outcome(fanned) == direct_reply(state, request)
-
     def test_resolvability_and_flood_probe(self, serve_state):
         # A single indexed term is resolvable by construction; an
         # out-of-vocabulary term never is.
@@ -171,20 +147,34 @@ class TestServiceState:
         not os.path.isdir("/dev/shm"), reason="POSIX shm filesystem required"
     )
     def test_failed_construction_closes_what_it_published(self, small_content):
-        # The engine refuses a topology one node larger than the trace,
-        # after both owners are published: the state must close them
-        # itself, not leave them to the garbage-collection net.
+        # The engine refuses a topology one node larger than the trace:
+        # the half-built state must leave no segment and no owner behind.
         topology = flat_random(small_content.n_peers + 1, 6.0, seed=7)
         before = metrics().counter("shm.unclosed_owners")
         segments = set(os.listdir("/dev/shm"))
         with pytest.raises(ValueError, match="peers") as excinfo:
             ServiceState(topology, small_content)
-        # The traceback still reaches the half-built state, so only an
-        # explicit close can have unlinked its segments by now.
         assert set(os.listdir("/dev/shm")) == segments
         del excinfo
         gc.collect()
         assert metrics().counter("shm.unclosed_owners") == before
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="POSIX shm filesystem required"
+    )
+    def test_live_state_publishes_no_segment(
+        self, serve_topology, small_content, query_pool
+    ):
+        # Every round runs in-process over the loaded index: a live
+        # state that has served searches owns no psm_* segment.
+        segments = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        request = make_search(
+            query_pool, sources=(1, 2, 3), picks=(0, 1, 2), ttl_schedule=(1, 3)
+        )
+        with ServiceState(serve_topology, small_content) as state:
+            direct_reply(state, request)
+            live = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        assert live == segments
 
 
 class TestAdmissionControl:
